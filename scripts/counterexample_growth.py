@@ -1,33 +1,24 @@
 #!/usr/bin/env python3
 """Tabulate the sparse-union growth: weak Lorentz norms diverge with the
 truncation depth while the weighted ball norms stay under the
-geometric-series constant."""
+geometric-series constant.
+
+usage: counterexample_growth.py [q p alpha [max_levels]]
+"""
 
 import sys
 
-from amalgams.counterexample import (
-    build_sparse_union,
-    fractional_bound_constant,
-    union_measure,
-    weak_lorentz_of_union,
-)
-from amalgams.fracmean import ExponentTriple, RadiusGrid, fractional_norm_ball, support_scale
-from amalgams.groups import REAL_LINE
+from amalgams.counterexample import fractional_bound_constant, union_growth
 
 
 def main(q: float = 1.0, p: float = 4.0, alpha: float = 2.0, max_levels: int = 8) -> int:
-    g = REAL_LINE
-    consts = fractional_bound_constant(q, p, alpha, g)
-    t = ExponentTriple(q, p, alpha)
+    consts = fractional_bound_constant(q, p, alpha)
     print(f"(q, p, alpha) = ({q}, {p}, {alpha}); series bound = {consts.bound:.4f}")
     print(f"{'N':>2s} {'measure':>12s} {'weak norm':>12s} {'ball norm':>12s} {'margin':>10s}")
-    for n in range(1, max_levels + 1):
-        spec, f = build_sparse_union(g, q, alpha, n)
-        weak = weak_lorentz_of_union(f, alpha)
-        grid = RadiusGrid(2.0**-10, 4.0 * support_scale(f), 1)
-        val = fractional_norm_ball(f, g, t, grid).value
+    for lvl in union_growth(q, p, alpha, max_levels):
+        val = lvl["fractional_ball_norm"]
         print(
-            f"{n:2d} {union_measure(spec):12.6f} {weak:12.6f} {val:12.6f}"
+            f"{lvl['levels']:2d} {lvl['measure']:12.6f} {lvl['weak_lorentz']:12.6f} {val:12.6f}"
             f" {consts.bound - val:10.4f}"
         )
     return 0

@@ -90,64 +90,22 @@ def partition_norm(
 # -- sliding-ball integral --------------------------------------------------
 
 
-def _line_overlap(a: float, b: float, lo: float, hi: float) -> float:
-    return max(0.0, min(b, hi) - max(a, lo))
-
-
 def conv_q_indicator(
     f: SimpleFunction, q: float, r: float, x: Point, mesh: int = 48
 ) -> float:
-    """(|f|^q * chi_B)(x) = integral of |f|^q over x.B(e, r)."""
+    """(|f|^q * chi_B)(x) = integral of |f|^q over x.B(e, r); ``mesh`` is
+    the inner grid side of the Heisenberg ball-box kernel."""
     q = _check_exponent(q)
     if math.isinf(q):
         raise ValueError("q = inf is not supported here; use the sup-norm branch")
-    if r <= 0:
-        raise ValueError("ball radius must be positive")
-    g = f.group
-    cells = _positive_cells(f)
-    if not cells:
-        return 0.0
-    scale = g.measure_scale
-    if g.name == "real-line":
-        return sum(
-            c.value**q * scale * _line_overlap(c.lo[0], c.hi[0], x[0] - r, x[0] + r)
-            for c in cells
-        )
-    if g.name == "aniso-plane":
-        total = 0.0
-        for c in cells:
-            o1 = _line_overlap(c.lo[0], c.hi[0], x[0] - r, x[0] + r)
-            o2 = _line_overlap(c.lo[1], c.hi[1], x[1] - r * r, x[1] + r * r)
-            total += c.value**q * scale * o1 * o2
-        return total
+    if not 0 < r < math.inf:
+        raise ValueError("ball radius must be positive and finite")
+    geometry = f.group.geometry
+    ys = np.array([x], dtype=float)
     total = 0.0
-    for c in cells:
-        total += c.value**q * _heis_ball_cell_measure(g, x, r, c.lo, c.hi, mesh)
+    for c in _positive_cells(f):
+        total += c.value**q * float(geometry.ball_box_measure(ys, r, c.lo, c.hi, mesh)[0])
     return total
-
-
-def _heis_ball_cell_measure(g, y, r, clo, chi, nw: int) -> float:
-    """Quadrature measure of (y.B(e,r)) ^ box, exact in the t-direction.
-
-    The (w1, w2) midpoint grid spans the intersection of the cell
-    footprint with the ball footprint, so small cells inside large
-    balls stay resolved.
-    """
-    w1lo, w1hi = max(clo[0] - y[0], -r), min(chi[0] - y[0], r)
-    w2lo, w2hi = max(clo[1] - y[1], -r), min(chi[1] - y[1], r)
-    if w1lo >= w1hi or w2lo >= w2hi:
-        return 0.0
-    offs = (np.arange(nw) + 0.5) / nw
-    W1 = (w1lo + (w1hi - w1lo) * offs)[:, None]
-    W2 = (w2lo + (w2hi - w2lo) * offs)[None, :]
-    s = W1**2 + W2**2
-    c = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
-    sigma = 0.5 * (y[0] * W2 - y[1] * W1)
-    top = np.minimum(chi[2] - y[2] - sigma, c)
-    bot = np.maximum(clo[2] - y[2] - sigma, -c)
-    ell = np.maximum(top - bot, 0.0)
-    cell_area = (w1hi - w1lo) * (w2hi - w2lo)
-    return float(g.measure_scale * cell_area / (nw * nw) * ell.sum())
 
 
 # -- ball norm ---------------------------------------------------------------
@@ -164,15 +122,15 @@ def ball_norm(
     """The y-integral form of the amalgam norm at ball radius r."""
     q = _check_exponent(q)
     p = _check_exponent(p)
-    if r <= 0:
-        raise ValueError("ball radius must be positive")
-    if mesh is not None and mesh <= 0:
-        raise ValueError("mesh must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("ball radius must be positive and finite")
+    if mesh is not None and not 0 < mesh < math.inf:
+        raise ValueError("mesh must be positive and finite")
     if f.group.name != g.name:
         raise ValueError("function group does not match the requested group")
     if not _positive_cells(f):
         return 0.0
-    if g.name == "real-line":
+    if g.d == 1:  # the y-integrand is piecewise linear: exact sweep
         return _ball_norm_line(f, r, q, p)
     return _ball_norm_quadrature(f, g, r, q, p, mesh if mesh is not None else r / 3.0)
 
@@ -241,23 +199,6 @@ def _linear_power_integral(f0: float, f1: float, dy: float, s: float) -> float:
     return dy * (f1 ** (s + 1.0) - f0 ** (s + 1.0)) / ((f1 - f0) * (s + 1.0))
 
 
-def _ball_ranges(g: GroupDescriptor, f: SimpleFunction, r: float):
-    """y-box outside which y.B(e, r) misses the support of f."""
-    bb = f.bounding_box()
-    assert bb is not None
-    if g.name == "aniso-plane":
-        pads = (r, r * r)
-        return tuple((lo - pad, hi + pad) for (lo, hi), pad in zip(bb, pads))
-    m1 = max(abs(bb[0][0]), abs(bb[0][1])) + r
-    m2 = max(abs(bb[1][0]), abs(bb[1][1])) + r
-    t_pad = r * r / 4.0 + 0.5 * r * (m1 + m2) + 1e-9
-    return (
-        (bb[0][0] - r, bb[0][1] + r),
-        (bb[1][0] - r, bb[1][1] + r),
-        (bb[2][0] - t_pad, bb[2][1] + t_pad),
-    )
-
-
 def _midpoints(lo: float, hi: float, h: float) -> tuple[np.ndarray, float]:
     n = max(2, int(math.ceil((hi - lo) / h)))
     step = (hi - lo) / n
@@ -267,79 +208,26 @@ def _midpoints(lo: float, hi: float, h: float) -> tuple[np.ndarray, float]:
 def _ball_norm_quadrature(
     f: SimpleFunction, g: GroupDescriptor, r: float, q: float, p: float, mesh: float
 ) -> float:
-    cells = _positive_cells(f)
-    scale = g.measure_scale
-    ranges = _ball_ranges(g, f, r)
-    if g.name == "aniso-plane":
-        y1, h1 = _midpoints(*ranges[0], mesh)
-        y2, h2 = _midpoints(*ranges[1], mesh * r)
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
+    axes = [
+        _midpoints(lo, hi, h)
+        for lo, hi, h in g.geometry.quadrature_axes(f.bounding_box(), r, mesh)
+    ]
+    grids = np.meshgrid(*(y for y, _ in axes), indexing="ij")
+    ys = np.stack([Y.ravel() for Y in grids], axis=1)
+    local = np.zeros(len(ys))
+    for c in _positive_cells(f):
+        # 8 x 8 inner (w1, w2) grid on the Heisenberg group
+        overlap = g.geometry.ball_box_measure(ys, r, c.lo, c.hi, 8)
         if math.isinf(q):
-            psi = np.zeros_like(Y1)
-            for c in cells:
-                inside = (
-                    (Y1 > c.lo[0] - r)
-                    & (Y1 < c.hi[0] + r)
-                    & (Y2 > c.lo[1] - r * r)
-                    & (Y2 < c.hi[1] + r * r)
-                )
-                psi = np.maximum(psi, np.where(inside, c.value, 0.0))
-            local = psi
+            local = np.maximum(local, np.where(overlap > 0.0, c.value, 0.0))
         else:
-            phi = np.zeros_like(Y1)
-            for c in cells:
-                o1 = np.clip(np.minimum(c.hi[0], Y1 + r) - np.maximum(c.lo[0], Y1 - r), 0.0, None)
-                o2 = np.clip(
-                    np.minimum(c.hi[1], Y2 + r * r) - np.maximum(c.lo[1], Y2 - r * r),
-                    0.0,
-                    None,
-                )
-                phi += c.value**q * scale * o1 * o2
-            local = phi ** (1.0 / q)
-        if math.isinf(p):
-            return float(local.max())
-        return float((np.sum(local**p) * h1 * h2 * scale) ** (1.0 / p))
-
-    # heisenberg: midpoint in y; per (y, cell) the overlap integrates the
-    # exact t-section length over an adaptive (w1, w2) grid spanning the
-    # intersection of the cell footprint with the ball footprint.
-    y1, h1 = _midpoints(*ranges[0], mesh)
-    y2, h2 = _midpoints(*ranges[1], mesh)
-    y3, h3 = _midpoints(*ranges[2], mesh * r / 4.0)
-    Y1, Y2, Y3 = np.meshgrid(y1, y2, y3, indexing="ij")
-    ys = np.stack([Y1.ravel(), Y2.ravel(), Y3.ravel()], axis=1)
-    nw = 8
-    offs = (np.arange(nw) + 0.5) / nw
-    acc = np.zeros(len(ys))
-    sup = np.zeros(len(ys))
-    for c in cells:
-        w1lo = np.maximum(c.lo[0] - ys[:, 0], -r)
-        w1hi = np.minimum(c.hi[0] - ys[:, 0], r)
-        w2lo = np.maximum(c.lo[1] - ys[:, 1], -r)
-        w2hi = np.minimum(c.hi[1] - ys[:, 1], r)
-        L1 = np.clip(w1hi - w1lo, 0.0, None)
-        L2 = np.clip(w2hi - w2lo, 0.0, None)
-        W1 = w1lo[:, None] + L1[:, None] * offs[None, :]  # (ny, nw)
-        W2 = w2lo[:, None] + L2[:, None] * offs[None, :]
-        s = W1[:, :, None] ** 2 + W2[:, None, :] ** 2
-        csec = np.where(
-            s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0
-        )
-        sigma = 0.5 * (
-            ys[:, 0, None, None] * W2[:, None, :] - ys[:, 1, None, None] * W1[:, :, None]
-        )
-        top = np.minimum(c.hi[2] - ys[:, 2, None, None] - sigma, csec)
-        bot = np.maximum(c.lo[2] - ys[:, 2, None, None] - sigma, -csec)
-        ell = np.maximum(top - bot, 0.0)
-        overlap = scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
-        if math.isinf(q):
-            sup = np.maximum(sup, np.where(overlap > 0.0, c.value, 0.0))
-        else:
-            acc += c.value**q * overlap
-    local = sup if math.isinf(q) else acc ** (1.0 / q)
+            local += c.value**q * overlap
+    if not math.isinf(q):
+        local = local ** (1.0 / q)
     if math.isinf(p):
         return float(local.max())
-    return float((np.sum(local**p) * h1 * h2 * h3 * scale) ** (1.0 / p))
+    cell = math.prod(h for _, h in axes)
+    return float((np.sum(local**p) * cell * g.measure_scale) ** (1.0 / p))
 
 
 def compute_norm(
@@ -350,22 +238,22 @@ def compute_norm(
     p: float,
     r: float,
     mesh: float | None = None,
-    window_pad: float = 0.0,
 ) -> AmalgamResult:
     """Evaluate one amalgam norm and wrap it for reporting."""
     from .fracmean import partition_for  # local import to avoid a cycle
 
     note = None
+    exact = g.d == 1
     if form == "partition":
-        part = partition_for(f, g, r, pad=window_pad)
+        part = partition_for(f, g, r)
         value = partition_norm(f, part, q, p)
-        method = "exact" if g.name == "real-line" else "cellsum"
+        method = "exact" if exact else "cellsum"
         used_mesh = None
     elif form == "ball":
         value = ball_norm(f, g, r, q, p, mesh)
-        method = "exact" if g.name == "real-line" else "quadrature"
-        used_mesh = None if g.name == "real-line" else (mesh if mesh else r / 3.0)
-        if math.isinf(p) and g.name != "real-line":
+        method = "exact" if exact else "quadrature"
+        used_mesh = None if exact else (mesh if mesh else r / 3.0)
+        if math.isinf(p) and not exact:
             note = "essential sup over y realized as a mesh max"
     else:
         raise ValueError(f"unknown norm form {form!r}")

@@ -20,12 +20,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from .amalgam import compute_norm
-from .counterexample import (
-    build_sparse_union,
-    fractional_bound_constant,
-    union_measure,
-    weak_lorentz_of_union,
-)
+from .counterexample import fractional_bound_constant, union_growth
 from .fracmean import (
     ExponentTriple,
     RadiusGrid,
@@ -33,7 +28,7 @@ from .fracmean import (
     fractional_norm_partition,
 )
 from .groups import get_group
-from .partitions import build_pi_r, n_pi_bound, validate
+from .partitions import build_pi_r, n_pi_bound, partition_constants, validate
 from .simplefn import SimpleFunction, lorentz_norm, simple_function
 from .verify import SuiteConfig, run_suite, suite_passed
 
@@ -98,6 +93,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _strict(obj):
+    """``obj`` with non-finite floats as "inf", "-inf" or "nan" (strict JSON)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _resolve_out(path: str) -> str:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path) and os.sep not in path:
@@ -112,7 +118,7 @@ def emit_report(cases, fmt: str, path: str | None) -> str:
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "cases": [c.as_dict() for c in cases],
         }
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(_strict(payload), sort_keys=True, indent=2)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -128,7 +134,7 @@ def emit_report(cases, fmt: str, path: str | None) -> str:
                     _fmt(c.constant),
                     _fmt(c.margin),
                     c.status,
-                    json.dumps(ctx, sort_keys=True),
+                    json.dumps(_strict(ctx), sort_keys=True),
                 ]
             )
         text = buf.getvalue()
@@ -142,7 +148,7 @@ def emit_report(cases, fmt: str, path: str | None) -> str:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(_strict(payload), sort_keys=True, indent=2)
     if out:
         with open(_resolve_out(out), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -258,7 +264,7 @@ def _cmd_partition_info(args) -> int:
         "translates_of_B_r": n_pi_bound(
             g, part.u_radius, args.r / (2.0 * g.gamma), args.r
         ),
-        "paper_form": (4 * g.gamma**4 + 3 * g.gamma**2) ** g.rho,
+        "paper_form": partition_constants(g)[0] ** g.rho,
     }
     _emit_json(
         {
@@ -284,24 +290,10 @@ def _cmd_counterexample(args) -> int:
     p = parse_exponent(args.p)
     alpha = parse_exponent(args.alpha)
     consts = fractional_bound_constant(q, p, alpha)
-    t = ExponentTriple(q, p, alpha)
-    levels = []
-    for n in range(1, args.levels + 1):
-        spec, f = build_sparse_union(q=q, alpha=alpha, N=n)
-        weak = weak_lorentz_of_union(f, alpha)
-        from .fracmean import support_scale
-
-        grid = RadiusGrid(2.0**-10, 4.0 * max(1.0, support_scale(f)), 1)
-        val = fractional_norm_ball(f, f.group, t, grid).value
-        levels.append(
-            {
-                "levels": n,
-                "measure": union_measure(spec),
-                "weak_lorentz": weak,
-                "fractional_ball_norm": val,
-                "margin": consts.bound - val,
-            }
-        )
+    levels = [
+        {**lvl, "margin": consts.bound - lvl["fractional_ball_norm"]}
+        for lvl in union_growth(q, p, alpha, args.levels)
+    ]
     _emit_json(
         {
             "q": q,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fracmean import ExponentTriple, RadiusGrid, fractional_norm_ball, support_scale
 from .groups import GroupDescriptor, REAL_LINE
 from .simplefn import SimpleFunction, lorentz_norm, simple_function
 
@@ -54,7 +55,7 @@ def build_sparse_union(
     N: int = 4,
 ) -> tuple[SparseUnionSpec, SimpleFunction]:
     """Construct the N-level truncation and its indicator function."""
-    if g.name != "real-line":
+    if g != REAL_LINE:
         raise ValueError("the construction ships on the real line only")
     if not q < alpha:
         raise ValueError("need q < alpha")
@@ -157,3 +158,22 @@ def fractional_bound_constant(
     if decay >= 1.0:
         raise ValueError("series diverges unless alpha < p")
     return BoundConstants(c1, c2, c3, c4, decay, c4 * decay / (1.0 - decay))
+
+
+def union_growth(q: float, p: float, alpha: float, max_levels: int) -> list[dict]:
+    """Per depth N = 1..max_levels: lambda(E_N), the weak Lorentz norm and
+    the weighted ball norm over radii 2^-10 .. 4 x support scale."""
+    t = ExponentTriple(q, p, alpha)
+    out = []
+    for n in range(1, max_levels + 1):
+        spec, f = build_sparse_union(REAL_LINE, q, alpha, n)
+        grid = RadiusGrid(2.0**-10, 4.0 * support_scale(f), 1)
+        out.append(
+            {
+                "levels": n,
+                "measure": union_measure(spec),
+                "weak_lorentz": weak_lorentz_of_union(f, alpha),
+                "fractional_ball_norm": fractional_norm_ball(f, REAL_LINE, t, grid).value,
+            }
+        )
+    return out

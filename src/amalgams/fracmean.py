@@ -64,9 +64,6 @@ class ExponentTriple:
             return DEGENERATE_HIGH
         return NONTRIVIAL
 
-    def conjugates(self) -> tuple[float, float, float]:
-        return conjugate(self.q), conjugate(self.p), conjugate(self.alpha)
-
     def uses_infinite_q_convention(self) -> bool:
         """True for the q = inf, alpha < inf corner where only the
         1/inf = 0 convention defines the scale weight."""
@@ -84,8 +81,8 @@ class RadiusGrid:
     steps_per_octave: int = 4
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0 < self.r_min < self.r_max < INF):
+            raise ValueError("need 0 < r_min < r_max < inf")
         if self.steps_per_octave < 1:
             raise ValueError("steps_per_octave must be >= 1")
 
@@ -118,9 +115,7 @@ def default_grid(
     return RadiusGrid(d * 2.0**-half, d * 2.0**half, steps_per_octave)
 
 
-def partition_for(
-    f: SimpleFunction, g: GroupDescriptor, r: float, pad: float = 0.0
-) -> UniformPartition:
+def partition_for(f: SimpleFunction, g: GroupDescriptor, r: float) -> UniformPartition:
     """Scale-r partition whose window swallows the support of f."""
     _, steps = cell_shape(g, r)
     bb = f.bounding_box()
@@ -128,7 +123,6 @@ def partition_for(
         bb = tuple((0.0, 0.0) for _ in range(g.d))
     window = []
     for (lo, hi), s in zip(bb, steps):
-        lo, hi = lo - pad, hi + pad
         short = s * 1.0001 - (hi - lo)
         if short > 0.0:
             lo, hi = lo - short / 2.0, hi + short / 2.0

@@ -14,18 +14,27 @@ dimension (the sum of the dilation exponents).  Three instances ship:
 All three norms satisfy the plain triangle inequality (gamma = 1); the
 stored gamma is still carried through every constant so that the code
 remains correct for gamma > 1 instances.
+
+Each instance also carries its geometry: how the scale-r partition cells
+(see :mod:`amalgams.partitions`), the balls and the coordinate boxes of
+simple functions meet.  :class:`BoxGeometry` serves the abelian
+instances, whose balls and cells are coordinate boxes with half-widths
+r**a_i; :class:`HeisenbergGeometry` serves the sheared cells of the
+Heisenberg group.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 Point = tuple[float, ...]
 Box = tuple[tuple[float, float], ...]
+Index = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,7 @@ class GroupDescriptor:
     ``measure_scale`` multiplies d-dimensional Lebesgue volume; it is
     fixed per instance so that ``ball_measure(r) == r**rho`` exactly.
     Instances are immutable and all operations are pure.
+    ``geometry`` is built from ``geometry_type`` and the instance itself.
     """
 
     name: str
@@ -45,6 +55,11 @@ class GroupDescriptor:
     compose_fn: Callable[[Point, Point], Point]
     invert_fn: Callable[[Point], Point]
     norm_fn: Callable[[Point], float]
+    geometry_type: type
+    geometry: BoxGeometry | HeisenbergGeometry = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "geometry", self.geometry_type(self))
 
     @property
     def rho(self) -> float:
@@ -90,28 +105,296 @@ class GroupDescriptor:
             vol *= max(0.0, b - a)
         return self.measure_scale * vol
 
-    def distance(self, x: Point, y: Point) -> float:
-        return self.hom_norm(self.compose(self.invert(x), y))
+
+def _axis_range(lo: float, hi: float, step: float) -> range:
+    """Lattice indices k whose cell [k*step, (k+1)*step) meets [lo, hi)."""
+    k_min = math.floor(lo / step)
+    k_max = math.ceil(hi / step) - 1
+    return range(k_min, k_max + 1)
 
 
-def _line_compose(x: Point, y: Point) -> Point:
-    return (x[0] + y[0],)
+class BoxGeometry:
+    """Abelian instances: balls and cells are coordinate boxes with
+    half-widths r**a_i, so every overlap factors over the axes."""
+
+    def __init__(self, g: GroupDescriptor):
+        self.g = g
+
+    def cell_half_extents(self, u: float) -> tuple[float, ...]:
+        """Half-widths u**a_i of the cells at U-radius u, and of B(e, u)."""
+        return tuple([u**a for a in self.g.dilation_exponents])
+
+    def locate(self, steps, xs: np.ndarray) -> np.ndarray:
+        """Cell indices, shape (n, d), of the points xs of shape (n, d)."""
+        return np.floor(xs / np.asarray(steps)).astype(np.int64)
+
+    def window_indices(self, part) -> Iterator[Index]:
+        return itertools.product(
+            *(_axis_range(lo, hi, s) for (lo, hi), s in zip(part.window, part.steps))
+        )
+
+    def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
+        scale = self.g.measure_scale
+        steps = part.steps
+        ranges = [_axis_range(lo[a], hi[a], steps[a]) for a in range(self.g.d)]
+        for idx in itertools.product(*ranges):
+            vol = 1.0
+            for a, k in enumerate(idx):
+                s = steps[a]
+                vol *= max(0.0, min((k + 1) * s, hi[a]) - max(k * s, lo[a]))
+            if vol > 0.0:
+                yield idx, scale * vol
+
+    def translate_box(self, a: Point, r: float) -> Box:
+        """Coordinate box containing a.B(e, r); here it is the ball itself."""
+        return tuple((c - w, c + w) for c, w in zip(a, self.cell_half_extents(r)))
+
+    def count_hits(self, part, a: Point, r: float, box: Box) -> int:
+        count = 1
+        for (lo, hi), s in zip(box, part.steps):
+            count *= len(_axis_range(lo, hi, s))
+        return count
+
+    def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
+        """Exact Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys."""
+        vol = self.g.measure_scale
+        for ax, w in enumerate(self.cell_half_extents(r)):
+            y = ys[:, ax]
+            vol = vol * np.clip(np.minimum(hi[ax], y + w) - np.maximum(lo[ax], y - w), 0.0, None)
+        return vol
+
+    def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
+        """(lo, hi, step) per axis of the y-box outside which y.B(e, r)
+        misses the box bb; steps scale with the axis' dilation."""
+        return [
+            (lo - w, hi + w, mesh * r ** (a - 1.0))
+            for (lo, hi), w, a in zip(bb, self.cell_half_extents(r), self.g.dilation_exponents)
+        ]
+
+    def ball_quadrature(self, r: float, center: Point, mesh: int) -> float:
+        """Midpoint rule in the first coordinate, exact box section in the rest."""
+        h = 2.0 * r / mesh
+        xs = center[0] - r + (np.arange(mesh) + 0.5) * h
+        section = math.prod(2.0 * w for w in self.cell_half_extents(r)[1:])
+        sect = np.where(np.abs(xs - center[0]) < r, section, 0.0)
+        return float(self.g.measure_scale * h * sect.sum())
 
 
-def _line_invert(x: Point) -> Point:
-    return (-x[0],)
+class HeisenbergGeometry:
+    """Sheared cells z.Q (see :mod:`amalgams.partitions`), quadrature ball overlaps."""
+
+    def __init__(self, g: GroupDescriptor):
+        self.g = g
+
+    def cell_half_extents(self, u: float) -> tuple[float, ...]:
+        return (u, u, u * u / 4.0)
+
+    def locate(self, steps, xs: np.ndarray) -> np.ndarray:
+        """Cell indices, shape (n, 3), of the points xs of shape (n, 3)."""
+        s1, s2, s3 = steps
+        i = np.floor(xs[:, 0] / s1)
+        j = np.floor(xs[:, 1] / s2)
+        z1 = (i + 0.5) * s1
+        z2 = (j + 0.5) * s2
+        shear = 0.5 * (z1 * (xs[:, 1] - z2) - z2 * (xs[:, 0] - z1))
+        k = np.floor((xs[:, 2] - shear) / s3)
+        return np.stack([i, j, k], axis=1).astype(np.int64)
+
+    def window_indices(self, part) -> Iterator[Index]:
+        w, steps = part.window, part.steps
+        u = part.half_extents[0]
+        for i in _axis_range(w[0][0], w[0][1], steps[0]):
+            for j in _axis_range(w[1][0], w[1][1], steps[1]):
+                # t-index range of the cells of column (i, j) meeting the window
+                z1 = (i + 0.5) * steps[0]
+                z2 = (j + 0.5) * steps[1]
+                smax = 0.5 * (abs(z1) + abs(z2)) * u
+                k_min = math.floor((w[2][0] - smax) / steps[2])
+                k_max = math.ceil((w[2][1] + smax) / steps[2]) - 1
+                for k in range(k_min, k_max + 1):
+                    yield (i, j, k)
+
+    def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
+        u = part.half_extents[0]
+        h3, s3 = part.half_extents[2], part.steps[2]
+        scale = self.g.measure_scale
+        for i in _axis_range(lo[0], hi[0], part.steps[0]):
+            for j in _axis_range(lo[1], hi[1], part.steps[1]):
+                z1 = (i + 0.5) * part.steps[0]
+                z2 = (j + 0.5) * part.steps[1]
+                w1lo = max(-u, lo[0] - z1)
+                w1hi = min(u, hi[0] - z1)
+                w2lo = max(-u, lo[1] - z2)
+                w2hi = min(u, hi[1] - z2)
+                if w1lo >= w1hi or w2lo >= w2hi:
+                    continue
+                # shear offset s(w) = a*w1 + b*w2 over the footprint
+                a, b = -z2 / 2.0, z1 / 2.0
+                s_corners = [
+                    a * w1 + b * w2
+                    for w1 in (w1lo, w1hi)
+                    for w2 in (w2lo, w2hi)
+                ]
+                s_min, s_max = min(s_corners), max(s_corners)
+                dens = _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi)
+                k_min = math.floor((lo[2] - s_max - h3) / s3 - 0.5)
+                k_max = math.ceil((hi[2] - s_min + h3) / s3 - 0.5)
+                for k in range(k_min, k_max + 1):
+                    z3 = (k + 0.5) * s3
+                    m = _sheared_slab_measure(
+                        a, b, w1lo, w1hi, w2lo, w2hi, h3, lo[2] - z3, hi[2] - z3, dens
+                    )
+                    if m > 0.0:
+                        yield (i, j, k), scale * m
+
+    def translate_box(self, a: Point, r: float) -> Box:
+        shear = 0.5 * (abs(a[0]) + abs(a[1])) * r
+        t = r * r / 4.0 + shear
+        return ((a[0] - r, a[0] + r), (a[1] - r, a[1] + r), (a[2] - t, a[2] + t))
+
+    def count_hits(self, part, a: Point, r: float, box: Box) -> int:
+        n = 14
+        hs = np.linspace(-r, r, n)
+        ts = np.linspace(-r * r / 4.0, r * r / 4.0, n)
+        W1, W2, W3 = np.meshgrid(hs, hs, ts, indexing="ij")
+        w = np.stack([W1.ravel(), W2.ravel(), W3.ravel()], axis=1)
+        w = w[((w[:, 0] ** 2 + w[:, 1] ** 2) ** 2 + 16.0 * w[:, 2] ** 2) ** 0.25 < r]
+        ys = np.empty_like(w)
+        ys[:, 0] = a[0] + w[:, 0]
+        ys[:, 1] = a[1] + w[:, 1]
+        ys[:, 2] = a[2] + w[:, 2] + 0.5 * (a[0] * w[:, 1] - a[1] * w[:, 0])
+        return len(np.unique(self.locate(part.steps, ys), axis=0))
+
+    def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
+        """Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys.
+
+        Exact in t; the (w1, w2) midpoint grid of nw x nw points spans the
+        intersection of the box footprint with the ball footprint, so
+        small boxes inside large balls stay resolved.
+        """
+        if len(ys) > 128:  # small blocks: temporaries reused, not paged in anew per call
+            blocks = [ys[k : k + 128] for k in range(0, len(ys), 128)]
+            return np.concatenate([self.ball_box_measure(b, r, lo, hi, nw) for b in blocks])
+        w1lo = np.maximum(lo[0] - ys[:, 0], -r)
+        w1hi = np.minimum(hi[0] - ys[:, 0], r)
+        w2lo = np.maximum(lo[1] - ys[:, 1], -r)
+        w2hi = np.minimum(hi[1] - ys[:, 1], r)
+        L1 = np.clip(w1hi - w1lo, 0.0, None)
+        L2 = np.clip(w2hi - w2lo, 0.0, None)
+        offs = (np.arange(nw) + 0.5) / nw
+        W1 = w1lo[:, None] + L1[:, None] * offs[None, :]  # (ny, nw)
+        W2 = w2lo[:, None] + L2[:, None] * offs[None, :]
+        s = W1[:, :, None] ** 2 + W2[:, None, :] ** 2
+        csec = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
+        sigma = 0.5 * (
+            ys[:, 0, None, None] * W2[:, None, :] - ys[:, 1, None, None] * W1[:, :, None]
+        )
+        top = np.minimum(hi[2] - ys[:, 2, None, None] - sigma, csec)
+        bot = np.maximum(lo[2] - ys[:, 2, None, None] - sigma, -csec)
+        ell = np.maximum(top - bot, 0.0)
+        return self.g.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
+
+    def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
+        """As for boxes; the shear pads t, whose step follows the t-extent r^2/4."""
+        m1 = max(abs(bb[0][0]), abs(bb[0][1])) + r
+        m2 = max(abs(bb[1][0]), abs(bb[1][1])) + r
+        t_pad = r * r / 4.0 + 0.5 * r * (m1 + m2) + 1e-9
+        return [
+            (bb[0][0] - r, bb[0][1] + r, mesh),
+            (bb[1][0] - r, bb[1][1] + r, mesh),
+            (bb[2][0] - t_pad, bb[2][1] + t_pad, mesh * r / 4.0),
+        ]
+
+    def ball_quadrature(self, r: float, center: Point, mesh: int) -> float:
+        """Midpoint rule in (x, y), exact t-section (the same for every center)."""
+        h = 2.0 * r / mesh
+        w = -r + (np.arange(mesh) + 0.5) * h
+        W1, W2 = np.meshgrid(w, w, indexing="ij")
+        s = W1**2 + W2**2
+        sect = np.where(s < r * r, 0.5 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
+        return float(self.g.measure_scale * h * h * sect.sum())
+
+
+# -- piecewise-linear helpers for the sheared intersection ----------------
+
+
+def _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi):
+    """Unnormalized density of s = a*w1 + b*w2 under dw1 dw2 on the box.
+
+    Returns (knots, values) of a piecewise-linear function with total
+    mass (w1hi - w1lo) * (w2hi - w2lo), or None when s is constant.
+    """
+    L1, L2 = w1hi - w1lo, w2hi - w2lo
+    if a == 0.0 and b == 0.0:
+        return None
+    if a == 0.0 or b == 0.0:
+        coef, length, other = (b, L2, L1) if a == 0.0 else (a, L1, L2)
+        e1 = coef * (w1lo if a != 0.0 else w2lo)
+        e2 = coef * (w1hi if a != 0.0 else w2hi)
+        slo, shi = min(e1, e2), max(e1, e2)
+        height = other / abs(coef)
+        return (slo, slo, shi, shi), (0.0, height, height, 0.0)
+    ia = sorted((a * w1lo, a * w1hi))
+    ib = sorted((b * w2lo, b * w2hi))
+    la, lb = ia[1] - ia[0], ib[1] - ib[0]
+    lo = ia[0] + ib[0]
+    hi = ia[1] + ib[1]
+    rise = min(la, lb)
+    height = rise / (abs(a) * abs(b))
+    return (lo, lo + rise, hi - rise, hi), (0.0, height, height, 0.0)
+
+
+def _overlap_trapezoid(qlo, qhi, A, B):
+    """Knots/values of s -> length([qlo, qhi] ^ [A - s, B - s])."""
+    s_lo, s_hi = A - qhi, B - qlo
+    p1, p2 = B - qhi, A - qlo
+    if p1 > p2:
+        p1, p2 = p2, p1
+    wid = min(qhi - qlo, B - A)
+    return (s_lo, p1, p2, s_hi), (0.0, wid, wid, 0.0)
+
+
+def _integrate_pl_product(k1, v1, k2, v2) -> float:
+    """Exact integral of the product of two piecewise-linear functions."""
+    lo = max(k1[0], k2[0])
+    hi = min(k1[-1], k2[-1])
+    if lo >= hi:
+        return 0.0
+    knots = sorted(set(k1) | set(k2))
+    knots = [lo] + [k for k in knots if lo < k < hi] + [hi]
+    total = 0.0
+    for x0, x1 in zip(knots[:-1], knots[1:]):
+        if x1 <= x0:
+            continue
+        xm = 0.5 * (x0 + x1)
+        f0 = np.interp(x0, k1, v1) * np.interp(x0, k2, v2)
+        fm = np.interp(xm, k1, v1) * np.interp(xm, k2, v2)
+        f1 = np.interp(x1, k1, v1) * np.interp(x1, k2, v2)
+        total += (x1 - x0) * (f0 + 4.0 * fm + f1) / 6.0
+    return total
+
+
+def _sheared_slab_measure(a, b, w1lo, w1hi, w2lo, w2hi, h3, A, B, dens) -> float:
+    """Lebesgue volume of {w in box : w3 in [-h3, h3) ^ [A - s(w), B - s(w))}."""
+    if B <= A:
+        return 0.0
+    if dens is None:
+        ell = max(0.0, min(h3, B) - max(-h3, A))
+        return ell * (w1hi - w1lo) * (w2hi - w2lo)
+    ok, ov = _overlap_trapezoid(-h3, h3, A, B)
+    return _integrate_pl_product(ok, ov, dens[0], dens[1])
+
+
+def _abelian_compose(x: Point, y: Point) -> Point:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _abelian_invert(x: Point) -> Point:
+    return tuple(-a for a in x)
 
 
 def _line_norm(x: Point) -> float:
     return abs(x[0])
-
-
-def _plane_compose(x: Point, y: Point) -> Point:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _plane_invert(x: Point) -> Point:
-    return (-x[0], -x[1])
 
 
 def _plane_norm(x: Point) -> float:
@@ -131,7 +414,13 @@ def _heis_invert(x: Point) -> Point:
 
 
 def _heis_norm(x: Point) -> float:
-    return ((x[0] ** 2 + x[1] ** 2) ** 2 + 16.0 * x[2] ** 2) ** 0.25
+    # evaluate on delta_{1/m}(x) and scale back, so that squaring neither
+    # underflows nor overflows; t is divided by m twice since m*m can underflow
+    m = max(abs(x[0]), abs(x[1]), math.sqrt(abs(x[2])))
+    if m == 0.0:
+        return 0.0
+    a, b, t = x[0] / m, x[1] / m, x[2] / m / m
+    return m * ((a**2 + b**2) ** 2 + 16.0 * t**2) ** 0.25
 
 
 REAL_LINE = GroupDescriptor(
@@ -141,9 +430,10 @@ REAL_LINE = GroupDescriptor(
     gamma=1.0,
     # Lebesgue length of (-r, r) is 2r; scale 1/2 gives ball measure r.
     measure_scale=0.5,
-    compose_fn=_line_compose,
-    invert_fn=_line_invert,
+    compose_fn=_abelian_compose,
+    invert_fn=_abelian_invert,
     norm_fn=_line_norm,
+    geometry_type=BoxGeometry,
 )
 
 ANISO_PLANE = GroupDescriptor(
@@ -155,9 +445,10 @@ ANISO_PLANE = GroupDescriptor(
     gamma=1.0,
     # B(e,1) is the box (-1,1) x (-1,1) of volume 4.
     measure_scale=0.25,
-    compose_fn=_plane_compose,
-    invert_fn=_plane_invert,
+    compose_fn=_abelian_compose,
+    invert_fn=_abelian_invert,
     norm_fn=_plane_norm,
+    geometry_type=BoxGeometry,
 )
 
 HEISENBERG = GroupDescriptor(
@@ -170,6 +461,7 @@ HEISENBERG = GroupDescriptor(
     compose_fn=_heis_compose,
     invert_fn=_heis_invert,
     norm_fn=_heis_norm,
+    geometry_type=HeisenbergGeometry,
 )
 
 GROUPS: dict[str, GroupDescriptor] = {
@@ -210,29 +502,12 @@ def ball_measure_quadrature(
 ) -> float:
     """Midpoint-quadrature Haar measure of the ball center.B(e, r).
 
-    The last coordinate is integrated in closed form (the section length
-    of the ball does not depend on the group twist), the remaining
-    coordinates by midpoint rule with ``mesh`` points per axis.
+    Coordinates whose ball section has a closed form are integrated
+    exactly, the others by the midpoint rule with ``mesh`` points per
+    axis; the rule is the group geometry's ``ball_quadrature``.
     """
     if r <= 0:
         raise ValueError("ball radius must be positive")
     if center is None:
         center = g.identity()
-    if g.d == 1:
-        h = 2.0 * r / mesh
-        xs = center[0] - r + (np.arange(mesh) + 0.5) * h
-        inside = np.abs(xs - center[0]) < r
-        return float(g.measure_scale * h * inside.sum())
-    if g.name == "aniso-plane":
-        h = 2.0 * r / mesh
-        xs = center[0] - r + (np.arange(mesh) + 0.5) * h
-        sect = np.where(np.abs(xs - center[0]) < r, 2.0 * r * r, 0.0)
-        return float(g.measure_scale * h * sect.sum())
-    if g.name == "heisenberg":
-        h = 2.0 * r / mesh
-        w = -r + (np.arange(mesh) + 0.5) * h
-        W1, W2 = np.meshgrid(w, w, indexing="ij")
-        s = W1**2 + W2**2
-        sect = np.where(s < r * r, 0.5 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
-        return float(g.measure_scale * h * h * sect.sum())
-    raise ValueError(f"no quadrature rule for group {g.name!r}")
+    return g.geometry.ball_quadrature(r, center, mesh)

@@ -19,28 +19,18 @@ of V = U.U, with the base point x_E at the cell's "center":
 
 Every partition is anchored at the origin so that the scale family is
 dilation covariant; the window only bounds which cell indices are
-enumerated.
+enumerated.  The cells' geometry lives in :mod:`amalgams.groups`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .groups import Box, GroupDescriptor, Point
-
-Index = tuple[int, ...]
-
-
-def _axis_range(lo: float, hi: float, step: float) -> range:
-    """Lattice indices k whose cell [k*step, (k+1)*step) meets [lo, hi)."""
-    k_min = math.floor(lo / step)
-    k_max = math.ceil(hi / step) - 1
-    return range(k_min, k_max + 1)
+from .groups import Box, BoxGeometry, GroupDescriptor, Index, Point
 
 
 @dataclass(frozen=True)
@@ -66,72 +56,27 @@ class UniformPartition:
         return tuple((k + 0.5) * s for k, s in zip(idx, self.steps))
 
     def cell_box(self, idx: Index) -> Box | None:
-        """Coordinate box of the cell, or None on the Heisenberg group."""
-        if self.group.name == "heisenberg":
+        """Coordinate box of the cell, or None where cells are sheared."""
+        if not isinstance(self.group.geometry, BoxGeometry):
             return None
         z = self._lattice_point(idx)
         return tuple((c - h, c + h) for c, h in zip(z, self.half_extents))
 
-    def cell_measure(self, idx: Index) -> float:
-        vol = 1.0
-        for h in self.half_extents:
-            vol *= 2.0 * h
-        return self.group.measure_scale * vol
-
     def cell_contains(self, idx: Index, x: Point) -> bool:
-        z = self._lattice_point(idx)
-        if self.group.name != "heisenberg":
-            return all(
-                c - h <= xi < c + h for xi, c, h in zip(x, z, self.half_extents)
-            )
-        w = self._heis_local(z, x)
+        """Whether z^-1.x lies in the box Q of half-extents, z the cell's lattice point."""
+        g = self.group
+        w = g.compose(g.invert(self._lattice_point(idx)), x)
         return all(-h <= wi < h for wi, h in zip(w, self.half_extents))
-
-    def _heis_local(self, z: Point, x: Point) -> Point:
-        w1, w2 = x[0] - z[0], x[1] - z[1]
-        shear = 0.5 * (z[0] * w2 - z[1] * w1)
-        return (w1, w2, x[2] - z[2] - shear)
 
     def locate(self, x: Point) -> Index:
         """Index of the unique cell containing x."""
-        if self.group.name != "heisenberg":
-            return tuple(math.floor(xi / s) for xi, s in zip(x, self.steps))
-        i = math.floor(x[0] / self.steps[0])
-        j = math.floor(x[1] / self.steps[1])
-        z1 = (i + 0.5) * self.steps[0]
-        z2 = (j + 0.5) * self.steps[1]
-        shear = 0.5 * (z1 * (x[1] - z2) - z2 * (x[0] - z1))
-        k = math.floor((x[2] - shear) / self.steps[2])
-        return (i, j, k)
+        idx = self.group.geometry.locate(self.steps, np.array([x], dtype=float))[0]
+        return tuple(int(k) for k in idx)
 
     # -- enumeration ------------------------------------------------------
 
-    def _column_k_range(self, i: int, j: int, tlo: float, thi: float) -> range:
-        """Heisenberg t-index range: cells of column (i, j) meeting [tlo, thi)."""
-        u = self.half_extents[0]
-        z1 = (i + 0.5) * self.steps[0]
-        z2 = (j + 0.5) * self.steps[1]
-        smax = 0.5 * (abs(z1) + abs(z2)) * u
-        s3 = self.steps[2]
-        k_min = math.floor((tlo - smax) / s3)
-        k_max = math.ceil((thi + smax) / s3) - 1
-        return range(k_min, k_max + 1)
-
     def indices_in_window(self) -> Iterator[Index]:
-        w = self.window
-        if self.group.name != "heisenberg":
-            ranges = [
-                _axis_range(w[a][0], w[a][1], self.steps[a])
-                for a in range(self.group.d)
-            ]
-            yield from itertools.product(*ranges)
-            return
-        ri = _axis_range(w[0][0], w[0][1], self.steps[0])
-        rj = _axis_range(w[1][0], w[1][1], self.steps[1])
-        for i in ri:
-            for j in rj:
-                for k in self._column_k_range(i, j, w[2][0], w[2][1]):
-                    yield (i, j, k)
+        return self.group.geometry.window_indices(self)
 
     def cell_count(self) -> int:
         return sum(1 for _ in self.indices_in_window())
@@ -142,124 +87,7 @@ class UniformPartition:
         self, lo: Point, hi: Point
     ) -> Iterator[tuple[Index, float]]:
         """Yield (cell index, Haar measure of cell intersect [lo, hi))."""
-        if self.group.name != "heisenberg":
-            scale = self.group.measure_scale
-            ranges = [
-                _axis_range(lo[a], hi[a], self.steps[a])
-                for a in range(self.group.d)
-            ]
-            for idx in itertools.product(*ranges):
-                vol = 1.0
-                for a, k in enumerate(idx):
-                    s = self.steps[a]
-                    vol *= max(0.0, min((k + 1) * s, hi[a]) - max(k * s, lo[a]))
-                if vol > 0.0:
-                    yield idx, scale * vol
-            return
-        yield from self._heis_intersections(lo, hi)
-
-    def _heis_intersections(self, lo, hi) -> Iterator[tuple[Index, float]]:
-        u = self.half_extents[0]
-        h3, s3 = self.half_extents[2], self.steps[2]
-        scale = self.group.measure_scale
-        for i in _axis_range(lo[0], hi[0], self.steps[0]):
-            for j in _axis_range(lo[1], hi[1], self.steps[1]):
-                z1 = (i + 0.5) * self.steps[0]
-                z2 = (j + 0.5) * self.steps[1]
-                w1lo = max(-u, lo[0] - z1)
-                w1hi = min(u, hi[0] - z1)
-                w2lo = max(-u, lo[1] - z2)
-                w2hi = min(u, hi[1] - z2)
-                if w1lo >= w1hi or w2lo >= w2hi:
-                    continue
-                # shear offset s(w) = a*w1 + b*w2 over the footprint
-                a, b = -z2 / 2.0, z1 / 2.0
-                s_corners = [
-                    a * w1 + b * w2
-                    for w1 in (w1lo, w1hi)
-                    for w2 in (w2lo, w2hi)
-                ]
-                s_min, s_max = min(s_corners), max(s_corners)
-                dens = _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi)
-                k_min = math.floor((lo[2] - s_max - h3) / s3 - 0.5)
-                k_max = math.ceil((hi[2] - s_min + h3) / s3 - 0.5)
-                for k in range(k_min, k_max + 1):
-                    z3 = (k + 0.5) * s3
-                    m = _sheared_slab_measure(
-                        a, b, w1lo, w1hi, w2lo, w2hi, h3, lo[2] - z3, hi[2] - z3, dens
-                    )
-                    if m > 0.0:
-                        yield (i, j, k), scale * m
-
-
-# -- piecewise-linear helpers for the sheared intersection ----------------
-
-
-def _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi):
-    """Unnormalized density of s = a*w1 + b*w2 under dw1 dw2 on the box.
-
-    Returns (knots, values) of a piecewise-linear function with total
-    mass (w1hi - w1lo) * (w2hi - w2lo), or None when s is constant.
-    """
-    L1, L2 = w1hi - w1lo, w2hi - w2lo
-    if a == 0.0 and b == 0.0:
-        return None
-    if a == 0.0 or b == 0.0:
-        coef, length, other = (b, L2, L1) if a == 0.0 else (a, L1, L2)
-        e1 = coef * (w1lo if a != 0.0 else w2lo)
-        e2 = coef * (w1hi if a != 0.0 else w2hi)
-        slo, shi = min(e1, e2), max(e1, e2)
-        height = other / abs(coef)
-        return (slo, slo, shi, shi), (0.0, height, height, 0.0)
-    ia = sorted((a * w1lo, a * w1hi))
-    ib = sorted((b * w2lo, b * w2hi))
-    la, lb = ia[1] - ia[0], ib[1] - ib[0]
-    lo = ia[0] + ib[0]
-    hi = ia[1] + ib[1]
-    rise = min(la, lb)
-    height = rise / (abs(a) * abs(b))
-    return (lo, lo + rise, hi - rise, hi), (0.0, height, height, 0.0)
-
-
-def _overlap_trapezoid(qlo, qhi, A, B):
-    """Knots/values of s -> length([qlo, qhi] ^ [A - s, B - s])."""
-    s_lo, s_hi = A - qhi, B - qlo
-    p1, p2 = B - qhi, A - qlo
-    if p1 > p2:
-        p1, p2 = p2, p1
-    wid = min(qhi - qlo, B - A)
-    return (s_lo, p1, p2, s_hi), (0.0, wid, wid, 0.0)
-
-
-def _integrate_pl_product(k1, v1, k2, v2) -> float:
-    """Exact integral of the product of two piecewise-linear functions."""
-    lo = max(k1[0], k2[0])
-    hi = min(k1[-1], k2[-1])
-    if lo >= hi:
-        return 0.0
-    knots = sorted(set(k1) | set(k2))
-    knots = [lo] + [k for k in knots if lo < k < hi] + [hi]
-    total = 0.0
-    for x0, x1 in zip(knots[:-1], knots[1:]):
-        if x1 <= x0:
-            continue
-        xm = 0.5 * (x0 + x1)
-        f0 = np.interp(x0, k1, v1) * np.interp(x0, k2, v2)
-        fm = np.interp(xm, k1, v1) * np.interp(xm, k2, v2)
-        f1 = np.interp(x1, k1, v1) * np.interp(x1, k2, v2)
-        total += (x1 - x0) * (f0 + 4.0 * fm + f1) / 6.0
-    return total
-
-
-def _sheared_slab_measure(a, b, w1lo, w1hi, w2lo, w2hi, h3, A, B, dens) -> float:
-    """Lebesgue volume of {w in box : w3 in [-h3, h3) ^ [A - s(w), B - s(w))}."""
-    if B <= A:
-        return 0.0
-    if dens is None:
-        ell = max(0.0, min(h3, B) - max(-h3, A))
-        return ell * (w1hi - w1lo) * (w2hi - w2lo)
-    ok, ov = _overlap_trapezoid(-h3, h3, A, B)
-    return _integrate_pl_product(ok, ov, dens[0], dens[1])
+        return self.group.geometry.intersections(self, lo, hi)
 
 
 # -- construction and validation ------------------------------------------
@@ -267,22 +95,14 @@ def _sheared_slab_measure(a, b, w1lo, w1hi, w2lo, w2hi, h3, A, B, dens) -> float
 
 def cell_shape(g: GroupDescriptor, r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(half_extents, lattice steps) of the scale-r cells of a group."""
-    u = r / (4.0 * g.gamma**2)
-    if g.name == "real-line":
-        half: tuple[float, ...] = (u,)
-    elif g.name == "aniso-plane":
-        half = (u, u * u)
-    elif g.name == "heisenberg":
-        half = (u, u, u * u / 4.0)
-    else:
-        raise ValueError(f"no partition construction for group {g.name!r}")
+    half = g.geometry.cell_half_extents(r / (4.0 * g.gamma**2))
     return half, tuple(2.0 * h for h in half)
 
 
 def build_pi_r(g: GroupDescriptor, r: float, window: Box) -> UniformPartition:
     """Uniform partition at scale r whose enumerated cells cover the window."""
-    if r <= 0:
-        raise ValueError("scale r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("scale r must be positive and finite")
     window = tuple((float(a), float(b)) for a, b in window)
     if len(window) != g.d or any(a >= b for a, b in window):
         raise ValueError("window must be a nonempty box matching the group dimension")
@@ -332,17 +152,6 @@ def _unit_ball_probes(g: GroupDescriptor, samples: int, seed: int = 11) -> list[
     return pts[:samples]
 
 
-def _in_U_squared(g: GroupDescriptor, w: Point, u: float) -> bool:
-    """Sufficient membership test for w in B(e,u).B(e,u)."""
-    if g.name == "real-line":
-        return abs(w[0]) < 2.0 * u
-    if g.name == "aniso-plane":
-        return abs(w[0]) < 2.0 * u and abs(w[1]) < 2.0 * u * u
-    # split w = a . a with a = (w1/2, w2/2, w3/2); the twist cancels
-    a = (w[0] / 2.0, w[1] / 2.0, w[2] / 2.0)
-    return g.hom_norm(a) < u
-
-
 def validate(p: UniformPartition, samples: int = 24, max_cells: int = 200) -> ValidationReport:
     """Probe disjointness, coverage, and both sandwich inclusions."""
     g = p.group
@@ -379,13 +188,12 @@ def validate(p: UniformPartition, samples: int = 24, max_cells: int = 200) -> Va
             wloc = tuple(
                 rng.uniform(-h, h) for h in p.half_extents
             )
-            if g.name == "heisenberg":
-                x = g.compose(z, wloc)
-            else:
-                x = tuple(a + b for a, b in zip(z, wloc))
+            x = g.compose(z, wloc)
             probes += 1
-            w_from_base = g.compose(g.invert(xe), x)
-            if not _in_U_squared(g, w_from_base, u):
+            w = g.compose(g.invert(xe), x)
+            # x_E^-1.x = a.a with a = w/2 on every instance (the Heisenberg
+            # twist cancels), so |w/2| < u puts x in x_E.U.U
+            if not g.hom_norm(tuple(c / 2.0 for c in w)) < u:
                 failures.append(f"cell {idx}: point {x} outside x_E.V")
                 break
     return ValidationReport(not failures, len(cells), probes, tuple(failures))
@@ -411,15 +219,11 @@ def n_pi_bound(
     return g.ball_measure(big) / g.ball_measure(u_radius)
 
 
-def translate_bounding_box(g: GroupDescriptor, a: Point, r: float) -> Box:
-    """Coordinate box containing a.B(e, r)."""
-    if g.name == "real-line":
-        return ((a[0] - r, a[0] + r),)
-    if g.name == "aniso-plane":
-        return ((a[0] - r, a[0] + r), (a[1] - r * r, a[1] + r * r))
-    shear = 0.5 * (abs(a[0]) + abs(a[1])) * r
-    t = r * r / 4.0 + shear
-    return ((a[0] - r, a[0] + r), (a[1] - r, a[1] + r), (a[2] - t, a[2] + t))
+def partition_constants(g: GroupDescriptor) -> tuple[float, float]:
+    """The paper's bases (4g^4 + 3g^2, 4g^5 + 3g^3 + 2g^2), g = gamma, of
+    the translate-hit bound and the partition/ball equivalence bracket."""
+    gam = g.gamma
+    return 4 * gam**4 + 3 * gam**2, 4 * gam**5 + 3 * gam**3 + 2 * gam**2
 
 
 def count_translate_hits(p: UniformPartition, K_radius: float, a: Point) -> int:
@@ -433,27 +237,8 @@ def count_translate_hits(p: UniformPartition, K_radius: float, a: Point) -> int:
     if K_radius <= 0:
         raise ValueError("translate radius must be positive")
     g = p.group
-    bb = translate_bounding_box(g, a, K_radius)
+    bb = g.geometry.translate_box(a, K_radius)
     for (blo, bhi), (wlo, whi) in zip(bb, p.window):
         if blo < wlo or bhi > whi:
             raise ValueError("translate escapes the partition window")
-    if g.name != "heisenberg":
-        count = 1
-        for ax in range(g.d):
-            lo, hi = bb[ax]
-            count *= len(_axis_range(lo, hi, p.steps[ax]))
-        return count
-    n = 14
-    hs = np.linspace(-K_radius, K_radius, n)
-    ts = np.linspace(-K_radius**2 / 4.0, K_radius**2 / 4.0, n)
-    hit: set[Index] = set()
-    for w1 in hs:
-        for w2 in hs:
-            if g.hom_norm((w1, w2, 0.0)) >= K_radius:
-                continue
-            for w3 in ts:
-                w = (float(w1), float(w2), float(w3))
-                if g.hom_norm(w) >= K_radius:
-                    continue
-                hit.add(p.locate(g.compose(a, w)))
-    return len(hit)
+    return g.geometry.count_hits(p, a, K_radius, bb)

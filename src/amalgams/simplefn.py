@@ -156,9 +156,6 @@ class StepProfile:
                 t = self.breakpoints[i + 1]
         return t
 
-    def total_measure(self) -> float:
-        return self.breakpoints[-1] if self.values else 0.0
-
     def sup(self) -> float:
         return self.values[0] if self.values else 0.0
 
@@ -262,12 +259,3 @@ def pointwise_combine(
                 out.extend((lo, hi, ca.value) for lo, hi in pieces)
         return simple_function(group, out)
     raise ValueError(f"unknown op {op!r}")
-
-
-def restrict_to_box(f: SimpleFunction, lo, hi) -> SimpleFunction:
-    out = []
-    for c in f.cells:
-        inter = box_intersection(c.lo, c.hi, tuple(lo), tuple(hi))
-        if inter is not None:
-            out.append((inter[0], inter[1], c.value))
-    return simple_function(f.group, out)

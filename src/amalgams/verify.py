@@ -17,16 +17,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .amalgam import ball_norm, conv_q_indicator, partition_norm
-from .counterexample import (
-    build_sparse_union,
-    fractional_bound_constant,
-    union_measure,
-    weak_lorentz_of_union,
-)
+from .counterexample import fractional_bound_constant, union_growth
 from .fracmean import (
     NONTRIVIAL,
     ExponentTriple,
     RadiusGrid,
+    _min_cell_extent,
     conjugate,
     default_grid,
     divergence_diagnostic,
@@ -37,7 +33,7 @@ from .fracmean import (
     support_scale,
 )
 from .groups import ANISO_PLANE, HEISENBERG, REAL_LINE, GroupDescriptor
-from .partitions import build_pi_r, count_translate_hits, n_pi_bound
+from .partitions import build_pi_r, count_translate_hits, n_pi_bound, partition_constants
 from .simplefn import SimpleFunction, lebesgue_norm, lorentz_norm, pointwise_combine, simple_function
 
 INF = math.inf
@@ -78,13 +74,14 @@ def one_sided_case(
     tolerance: float = 0.0,
     context: dict | None = None,
 ) -> InequalityCase:
-    """Worst relative margin of lhs <= rhs * constant over the samples."""
+    """Worst relative margin of lhs <= rhs * constant over the samples;
+    a NaN margin (a non-finite side) is the worst and fails."""
     worst_m, worst = math.inf, (0.0, 0.0)
     n = 0
     for lhs, rhs in samples:
         n += 1
         m = (rhs * constant - lhs) / _scale_of(lhs, rhs * constant)
-        if m < worst_m:
+        if m < worst_m or math.isnan(m):
             worst_m, worst = m, (lhs, rhs)
     if n == 0:
         worst_m, worst = 0.0, (0.0, 0.0)
@@ -100,13 +97,14 @@ def identity_case(
     tolerance: float,
     context: dict | None = None,
 ) -> InequalityCase:
-    """Worst relative deviation of paired values that should agree."""
+    """Worst relative deviation of paired values that should agree; a NaN
+    deviation (a non-finite value) is the worst and fails."""
     worst_d, worst = -math.inf, (0.0, 0.0)
     n = 0
     for a, b in samples:
         n += 1
         d = abs(a - b) / _scale_of(a, b)
-        if d > worst_d:
+        if d > worst_d or math.isnan(d):
             worst_d, worst = d, (a, b)
     if n == 0:
         worst_d, worst = 0.0, (0.0, 0.0)
@@ -192,7 +190,7 @@ def radial_power_fn(
     "inner-edge" (an upper bound, the profiles decrease) or
     "geometric-midpoint" (second-order accurate).
     """
-    if g.name != "real-line":
+    if g != REAL_LINE:
         raise ValueError("radial discretizations ship on the real line only")
     if not (1.0 < theta) or math.isinf(theta):
         raise ValueError("need 1 < theta < inf")
@@ -390,14 +388,9 @@ class SuiteConfig:
         return self.criteria
 
 
-def _grid_for(f: SimpleFunction, wide: bool = False) -> RadiusGrid:
-    if wide:
-        sc = max(support_scale(f), 1e-6)
-        mincell = min(
-            min(b - a for a, b in zip(c.lo, c.hi)) for c in f.cells if c.value > 0.0
-        )
-        return RadiusGrid(mincell / 8.0, 32.0 * sc, 4)
-    return default_grid(f)
+def _wide_grid(f: SimpleFunction) -> RadiusGrid:
+    sc = max(support_scale(f), 1e-6)
+    return RadiusGrid(_min_cell_extent(f) / 8.0, 32.0 * sc, 4)
 
 
 # -- criteria -----------------------------------------------------------------
@@ -451,9 +444,8 @@ def _equivalence_instance(
     window,
     max_cells: int,
 ) -> list[InequalityCase]:
-    upper_const = (4 * g.gamma**4 + 3 * g.gamma**2) ** (g.rho * inv(q)) * (
-        4 * g.gamma**5 + 3 * g.gamma**3 + 2 * g.gamma**2
-    ) ** (g.rho * inv(p))
+    base_q, base_p = partition_constants(g)
+    upper_const = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
     floor = 0.8 * (4.0 * g.gamma**2) ** (-g.rho * inv(p))
     ratios = []
     for i in range(n_functions):
@@ -578,15 +570,14 @@ def check_alpha_endpoint_sandwiches(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
     cases = []
     pairs = ((1.0, 2.0), (2.0, 4.0))
+    base_q, base_p = partition_constants(g)
     for q, p in pairs:
-        cq = (4 * g.gamma**4 + 3 * g.gamma**2) ** (g.rho * (inv(q) - inv(p)))
-        cp = (4 * g.gamma**4 + 3 * g.gamma**2) ** (g.rho * inv(q)) * (
-            4 * g.gamma**5 + 3 * g.gamma**3 + 2 * g.gamma**2
-        ) ** (g.rho * inv(p))
+        cq = base_q ** (g.rho * (inv(q) - inv(p)))
+        cp = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
         low_q, up_q, low_p, up_p = [], [], [], []
         for i in range(cfg.n_sandwich):
             f = gen_random_simple(cfg.seed + 17 * i, 1 + i % 10, cfg.window, g)
-            grid = _grid_for(f, wide=True)
+            grid = _wide_grid(f)
             nq = lebesgue_norm(f, q)
             np_ = lebesgue_norm(f, p)
             vq = fractional_norm_partition(f, g, ExponentTriple(q, p, q), grid).value
@@ -706,31 +697,19 @@ def check_sparse_union(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
     q, p, alpha = 1.0, 4.0, 2.0
     consts = fractional_bound_constant(q, p, alpha, g)
-    t = ExponentTriple(q, p, alpha)
-    weak_samples, bound_samples = [], []
-    prev = 0.0
-    growth_ok = True
-    span = 1.0
-    for n in range(1, cfg.max_levels + 1):
-        spec, f = build_sparse_union(g, q, alpha, n)
-        weak = weak_lorentz_of_union(f, alpha)
-        growth_ok = growth_ok and weak > prev
-        prev = weak
-        weak_samples.append((union_measure(spec) ** (1.0 / alpha), weak))
-        span = max(span, support_scale(f))
-        grid = RadiusGrid(2.0**-10, 4.0 * span, 1)
-        val = fractional_norm_ball(f, g, t, grid).value
-        bound_samples.append((val, consts.bound))
+    levels = union_growth(q, p, alpha, cfg.max_levels)
+    weak = [lvl["weak_lorentz"] for lvl in levels]
+    growth_ok = all(b > a for a, b in zip([0.0] + weak, weak))
     cases = [
         identity_case(
             "sparse-union-weak-norms",
-            weak_samples,
+            [(lvl["measure"] ** (1.0 / alpha), lvl["weak_lorentz"]) for lvl in levels],
             1e-12,
             {"strictly_increasing": growth_ok, "levels": cfg.max_levels},
         ),
         one_sided_case(
             "sparse-union-bounded",
-            bound_samples,
+            [(lvl["fractional_ball_norm"], consts.bound) for lvl in levels],
             1.0,
             1e-9,
             {
@@ -746,52 +725,21 @@ def check_sparse_union(cfg: SuiteConfig) -> list[InequalityCase]:
     return cases
 
 
-def _locate_batch(part, xs: np.ndarray) -> np.ndarray:
-    g = part.group
-    if g.name != "heisenberg":
-        return np.floor(xs / np.asarray(part.steps)).astype(np.int64)
-    s1, s2, s3 = part.steps
-    i = np.floor(xs[:, 0] / s1)
-    j = np.floor(xs[:, 1] / s2)
-    z1 = (i + 0.5) * s1
-    z2 = (j + 0.5) * s2
-    shear = 0.5 * (z1 * (xs[:, 1] - z2) - z2 * (xs[:, 0] - z1))
-    k = np.floor((xs[:, 2] - shear) / s3)
-    return np.stack([i, j, k], axis=1).astype(np.int64)
-
-
 def check_translate_counting(cfg: SuiteConfig) -> list[InequalityCase]:
     cases = []
     r = 1.0
     for g in (REAL_LINE, ANISO_PLANE, HEISENBERG):
         rng = np.random.default_rng(cfg.seed + 5)
         ext = 16.0
-        window = tuple((-2.0 * ext, 2.0 * ext) for _ in range(g.d))
+        # holds every translate's bounding box, also when sheared in t
+        window = tuple((-3.0 * ext, 3.0 * ext) for _ in range(g.d))
         part = build_pi_r(g, r, window)
         bound = n_pi_bound(g, part.u_radius, r / (2.0 * g.gamma), r)
         samples = []
-        if g.name == "heisenberg":
-            n = 14
-            hs = np.linspace(-r, r, n)
-            ts = np.linspace(-r * r / 4.0, r * r / 4.0, n)
-            W1, W2, W3 = np.meshgrid(hs, hs, ts, indexing="ij")
-            w = np.stack([W1.ravel(), W2.ravel(), W3.ravel()], axis=1)
-            norms = ((w[:, 0] ** 2 + w[:, 1] ** 2) ** 2 + 16.0 * w[:, 2] ** 2) ** 0.25
-            w = w[norms < r]
-            for _ in range(cfg.n_translates):
-                a = rng.uniform(-ext, ext, size=3)
-                ys = np.empty_like(w)
-                ys[:, 0] = a[0] + w[:, 0]
-                ys[:, 1] = a[1] + w[:, 1]
-                ys[:, 2] = a[2] + w[:, 2] + 0.5 * (a[0] * w[:, 1] - a[1] * w[:, 0])
-                idx = _locate_batch(part, ys)
-                count = len(np.unique(idx, axis=0))
-                samples.append((float(count), bound))
-        else:
-            for _ in range(cfg.n_translates):
-                a = tuple(rng.uniform(-ext, ext, size=g.d))
-                count = count_translate_hits(part, r, a)
-                samples.append((float(count), bound))
+        for _ in range(cfg.n_translates):
+            a = tuple(rng.uniform(-ext, ext, size=g.d))
+            count = count_translate_hits(part, r, a)
+            samples.append((float(count), bound))
         cases.append(
             one_sided_case(
                 f"translate-counting-{g.name}",

@@ -165,3 +165,21 @@ def test_conv_q_indicator_heisenberg_quadrature():
     # a huge ball swallows the support: integral = ||f||_q^q
     total = conv_q_indicator(fh, 2.0, 50.0, g.identity(), mesh=64)
     assert total == pytest.approx(lebesgue_norm(fh, 2.0) ** 2, rel=0.01)
+
+
+def test_conv_q_indicator_aniso_ball_containing_support():
+    g = ANISO_PLANE
+    for seed in range(5):
+        f = gen_random_simple(60 + seed, 1 + seed % 4, ((-1.0, 1.0), (-1.0, 1.0)), g)
+        # x.B(e, 2) is the box x + (-2, 2) x (-4, 4), which contains the support
+        for q in (1.0, 2.5):
+            total = conv_q_indicator(f, q, 2.0, (0.1, -0.2))
+            assert total == pytest.approx(lebesgue_norm(f, q) ** q, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [ANISO_PLANE, HEISENBERG], ids=lambda g: g.name)
+def test_ball_norm_sup_sup_is_largest_value(g):
+    window = tuple((-1.0, 1.0) for _ in range(g.d))
+    for seed in range(3):
+        f = gen_random_simple(80 + seed, 1 + seed, window, g)
+        assert ball_norm(f, g, 0.5, INF, INF) == max(c.value for c in f.cells)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from amalgams.cli import emit_report, main, parse_exponent, parse_grid, parse_window
-from amalgams.verify import InequalityCase
+from amalgams.verify import InequalityCase, SuiteConfig, error_case, run_suite
 
 
 @pytest.fixture()
@@ -121,6 +121,45 @@ def test_usage_errors(capsys, spec_path, tmp_path):
     # exponent below 1
     assert main(["lorentz", "--q", "0.5", "--p", "2", "--fn", spec_path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--form", "ball", "--q", "1", "--p", "2", "--r", "inf"],
+        ["norm", "--form", "ball", "--q", "1", "--p", "2", "--r", "nan"],
+        ["norm", "--form", "ball", "--q", "1", "--p", "2", "--r", "1", "--mesh", "inf"],
+        ["norm", "--form", "ball", "--q", "1", "--p", "2", "--r", "1", "--mesh", "nan"],
+        ["norm", "--form", "partition", "--q", "1", "--p", "2", "--r", "inf"],
+        ["norm", "--form", "partition", "--q", "1", "--p", "2", "--r", "nan"],
+        ["fracnorm", "--q", "1", "--p", "inf", "--alpha", "2", "--grid", "0.1:inf:4"],
+        ["fracnorm", "--q", "1", "--p", "inf", "--alpha", "2", "--grid", "nan:1:4"],
+    ],
+    ids=[
+        "ball-r-inf", "ball-r-nan", "ball-mesh-inf", "ball-mesh-nan",
+        "partition-r-inf", "partition-r-nan", "grid-rmax-inf", "grid-rmin-nan",
+    ],
+)
+def test_non_finite_radius_mesh_or_grid_is_usage_error(capsys, spec_path, argv):
+    code = main(argv + ["--fn", spec_path])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out == ""
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def test_reports_are_strict_json():
+    # holder-product-2 records p = inf in its context
+    cases = run_suite(SuiteConfig(criteria=("holder-product",), n_holder=3))
+    cases.append(error_case("synthetic", RuntimeError("boom")))  # margin -inf
+    parsed = json.loads(emit_report(cases, "json", None), parse_constant=_reject_constant)
+    assert parsed["cases"][-1]["margin"] == "-inf"
+    assert "inf" in parsed["cases"][2]["context"]["factors"]
+    for row in list(csv.DictReader(io.StringIO(emit_report(cases, "csv", None)))):
+        json.loads(row["context"], parse_constant=_reject_constant)
 
 
 def test_verify_subcommand_quick(capsys, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgams.groups import (
@@ -86,6 +86,16 @@ def test_aniso_gamma_estimate_attains_one():
     ) + ANISO_PLANE.hom_norm((1.0, 0.0))
 
 
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+@pytest.mark.parametrize("c", [1e-170, 5e-324, 1e80, 1e300])
+def test_hom_norm_tiny_and_huge_points(g, c):
+    # every single-axis point and the diagonal point: positive and finite
+    points = [tuple(c if k == ax else 0.0 for k in range(g.d)) for ax in range(g.d)]
+    for x in points + [(c,) * g.d]:
+        n = g.hom_norm(x)
+        assert 0.0 < n < math.inf, (x, n)
+
+
 def test_ball_measure_examples():
     assert REAL_LINE.ball_measure(2.0) == 2.0
     assert HEISENBERG.ball_measure(2.0) == 16.0
@@ -148,6 +158,7 @@ def test_line_dilation_is_scaling(r, x):
     st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)),
     st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)),
 )
+@example(x=(0.0, 0.0, 1.553502843318301e-162), y=(0.0, 0.0, 1.553502843318301e-162))
 def test_heisenberg_triangle_property(x, y):
     g = HEISENBERG
     lhs = g.hom_norm(g.compose(x, y))

@@ -126,6 +126,13 @@ def test_case_aggregation_edges():
     assert bad.status == "fail" and bad.margin < 0
 
 
+@pytest.mark.parametrize("pair", [(INF, 1.0), (1.0, INF), (math.nan, 1.0)])
+def test_non_finite_sample_fails_its_case(pair):
+    # a broken norm must not pass by NaN comparisons, whatever comes after it
+    assert one_sided_case("x", [(1.0, 2.0), pair, (1.0, 2.0)]).status == "fail"
+    assert identity_case("x", [(1.0, 1.0), pair, (1.0, 1.0)], 1e-9).status == "fail"
+
+
 def test_run_suite_empty_and_unknown():
     assert run_suite(SuiteConfig(criteria=())) == []
     with pytest.raises(ValueError):
