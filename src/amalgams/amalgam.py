@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import GroupDescriptor, Point
 from .partitions import UniformPartition
-from .simplefn import SimpleFunction, _check_exponent
+from .simplefn import SimpleFunction, _check_exponent, _times_pow2, _unit_exponent
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,25 @@ def partition_norm(
     cells = _positive_cells(f)
     if not cells:
         return 0.0
+    e = _unit_exponent(f.max_value, q, p)
     if math.isinf(q):
         per_cell: dict[tuple, float] = {}
         for c in cells:
+            v = math.ldexp(c.value, -e)
             for idx, m in part.intersections_with_box(c.lo, c.hi):
                 if m > 0.0:
-                    per_cell[idx] = max(per_cell.get(idx, 0.0), c.value)
+                    per_cell[idx] = max(per_cell.get(idx, 0.0), v)
         locals_q = list(per_cell.values())
     else:
         acc: dict[tuple, float] = {}
         for c in cells:
-            vq = c.value**q
+            vq = math.ldexp(c.value, -e) ** q
             for idx, m in part.intersections_with_box(c.lo, c.hi):
                 acc[idx] = acc.get(idx, 0.0) + vq * m
         locals_q = [a ** (1.0 / q) for a in acc.values()]
     if math.isinf(p):
-        return max(locals_q, default=0.0)
-    return sum(v**p for v in locals_q) ** (1.0 / p)
+        return _times_pow2(max(locals_q, default=0.0), e)
+    return _times_pow2(sum(v**p for v in locals_q) ** (1.0 / p), e)
 
 
 # -- sliding-ball integral --------------------------------------------------
@@ -100,12 +102,19 @@ def conv_q_indicator(
         raise ValueError("q = inf is not supported here; use the sup-norm branch")
     if not 0 < r < math.inf:
         raise ValueError("ball radius must be positive and finite")
-    geometry = f.group.geometry
-    ys = np.array([x], dtype=float)
-    total = 0.0
-    for c in _positive_cells(f):
-        total += c.value**q * float(geometry.ball_box_measure(ys, r, c.lo, c.hi, mesh)[0])
-    return total
+    cells = _positive_cells(f)
+    if not cells:
+        return 0.0
+    lo = np.array([c.lo for c in cells])
+    hi = np.array([c.hi for c in cells])
+    ys = np.broadcast_to(np.asarray(x, dtype=float), lo.shape)
+    measures = f.group.geometry.ball_box_measure(ys, r, lo, hi, mesh).tolist()
+    e = _unit_exponent(f.max_value, q)
+    total = sum(math.ldexp(c.value, -e) ** q * m for c, m in zip(cells, measures))
+    try:  # the q-th power of a norm: it scales by 2**(e*q)
+        return total * 2.0 ** (e * q)
+    except OverflowError:
+        return math.inf
 
 
 # -- ball norm ---------------------------------------------------------------
@@ -138,6 +147,7 @@ def ball_norm(
 def _ball_norm_line(f: SimpleFunction, r: float, q: float, p: float) -> float:
     cells = _positive_cells(f)
     scale = f.group.measure_scale
+    e = _unit_exponent(f.max_value, q, p)
     if math.isinf(q):
         # ||f chi_{yB}||_inf is a step function of y with jumps at a-r, b+r
         knots = sorted({c.lo[0] - r for c in cells} | {c.hi[0] + r for c in cells})
@@ -150,15 +160,15 @@ def _ball_norm_line(f: SimpleFunction, r: float, q: float, p: float) -> float:
                 (c.value for c in cells if c.lo[0] - r < ym < c.hi[0] + r),
                 default=0.0,
             )
-            total += v**p * (y1 - y0) * scale
-        return total ** (1.0 / p)
+            total += math.ldexp(v, -e) ** p * (y1 - y0) * scale
+        return _times_pow2(total ** (1.0 / p), e)
 
     # phi(y) = sum_i v_i^q lambda([a_i, b_i) ^ (y-r, y+r)) is piecewise
     # linear; each cell contributes slope +w on [a-r, a-r+W) and -w on
     # [b+r-W, b+r) with W = min(b-a, 2r).  Sweep the slope events.
     events: dict[float, float] = {}
     for c in cells:
-        w = c.value**q * scale
+        w = math.ldexp(c.value, -e) ** q * scale
         a, b = c.lo[0], c.hi[0]
         width = min(b - a, 2.0 * r)
         for y0, dw in ((a - r, w), (a - r + width, -w), (b + r - width, -w), (b + r, w)):
@@ -173,14 +183,14 @@ def _ball_norm_line(f: SimpleFunction, r: float, q: float, p: float) -> float:
         values.append(max(phi_val, 0.0))
         prev = y0
     if math.isinf(p):
-        return max(values) ** (1.0 / q)
+        return _times_pow2(max(values) ** (1.0 / q), e)
     s = p / q
     total = 0.0
     for y0, y1, f0, f1 in zip(knots[:-1], knots[1:], values[:-1], values[1:]):
         dy = y1 - y0
         if dy > 0.0:
             total += _linear_power_integral(f0, f1, dy, s) * scale
-    return total ** (1.0 / p)
+    return _times_pow2(total ** (1.0 / p), e)
 
 
 def _linear_power_integral(f0: float, f1: float, dy: float, s: float) -> float:
@@ -215,19 +225,22 @@ def _ball_norm_quadrature(
     grids = np.meshgrid(*(y for y, _ in axes), indexing="ij")
     ys = np.stack([Y.ravel() for Y in grids], axis=1)
     local = np.zeros(len(ys))
-    for c in _positive_cells(f):
+    cells = _positive_cells(f)
+    e = _unit_exponent(f.max_value, q, p)
+    for c in cells:
         # 8 x 8 inner (w1, w2) grid on the Heisenberg group
         overlap = g.geometry.ball_box_measure(ys, r, c.lo, c.hi, 8)
+        v = math.ldexp(c.value, -e)
         if math.isinf(q):
-            local = np.maximum(local, np.where(overlap > 0.0, c.value, 0.0))
+            local = np.maximum(local, np.where(overlap > 0.0, v, 0.0))
         else:
-            local += c.value**q * overlap
+            local += v**q * overlap
     if not math.isinf(q):
         local = local ** (1.0 / q)
     if math.isinf(p):
-        return float(local.max())
+        return _times_pow2(float(local.max()), e)
     cell = math.prod(h for _, h in axes)
-    return float((np.sum(local**p) * cell * g.measure_scale) ** (1.0 / p))
+    return _times_pow2(float((np.sum(local**p) * cell * g.measure_scale) ** (1.0 / p)), e)
 
 
 def compute_norm(

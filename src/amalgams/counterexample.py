@@ -87,17 +87,27 @@ def build_sparse_union(
 
 def check_separations(spec: SparseUnionSpec, g: GroupDescriptor) -> None:
     """Assert the same-level bounds, cross-level thresholds and ball
-    disjointness on the constructed centers."""
-    flat = [
-        (n + 1, c, spec.radii[n])
-        for n in range(spec.levels)
-        for c in spec.centers[n]
-    ]
-    for i in range(len(flat)):
+    disjointness on the constructed centers.
+
+    Centers are swept in increasing order.  A pair farther apart than the
+    largest threshold that can apply to it (the separation of the first
+    center's level, gamma 2^-1, or 2 gamma times the largest radius) fails
+    no test, so the scan from each center stops at the first such
+    neighbour: on the real line the distance grows along sorted centers.
+    """
+    if g != REAL_LINE:
+        raise ValueError("the separation sweep runs on the real line only")
+    flat = sorted(
+        (c, n + 1, spec.radii[n]) for n in range(spec.levels) for c in spec.centers[n]
+    )
+    cross_reach = max(g.gamma * 2.0**-1, 2.0 * g.gamma * max(spec.radii, default=0.0))
+    for i, (ci, ni, ri) in enumerate(flat):
+        reach = max(spec.separations[ni - 1], cross_reach)
         for j in range(i + 1, len(flat)):
-            ni, ci, ri = flat[i]
-            nj, cj, rj = flat[j]
+            cj, nj, rj = flat[j]
             dist = g.hom_norm((cj - ci,))
+            if dist > reach:
+                break
             if ni == nj and dist <= spec.separations[ni - 1]:
                 raise ValueError(
                     f"same-level separation violated at level {ni}: {dist}"

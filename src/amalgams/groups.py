@@ -156,11 +156,15 @@ class BoxGeometry:
         return count
 
     def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
-        """Exact Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys."""
+        """Exact Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys;
+        lo and hi are one box, or arrays of shape (n, d) with one box per row."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         vol = self.g.measure_scale
         for ax, w in enumerate(self.cell_half_extents(r)):
             y = ys[:, ax]
-            vol = vol * np.clip(np.minimum(hi[ax], y + w) - np.maximum(lo[ax], y - w), 0.0, None)
+            vol = vol * np.clip(
+                np.minimum(hi[..., ax], y + w) - np.maximum(lo[..., ax], y - w), 0.0, None
+            )
         return vol
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
@@ -172,12 +176,10 @@ class BoxGeometry:
         ]
 
     def ball_quadrature(self, r: float, center: Point, mesh: int) -> float:
-        """Midpoint rule in the first coordinate, exact box section in the rest."""
-        h = 2.0 * r / mesh
-        xs = center[0] - r + (np.arange(mesh) + 0.5) * h
+        """The ball is a box, so every midpoint in the first coordinate sees
+        the same section and the rule is exact: 2r times that section."""
         section = math.prod(2.0 * w for w in self.cell_half_extents(r)[1:])
-        sect = np.where(np.abs(xs - center[0]) < r, section, 0.0)
-        return float(self.g.measure_scale * h * sect.sum())
+        return float(self.g.measure_scale * 2.0 * r * section)
 
 
 class HeisenbergGeometry:
@@ -268,17 +270,30 @@ class HeisenbergGeometry:
     def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
         """Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys.
 
-        Exact in t; the (w1, w2) midpoint grid of nw x nw points spans the
-        intersection of the box footprint with the ball footprint, so
+        lo and hi are one box, or arrays of shape (n, 3) with one box per
+        row.  Exact in t; the (w1, w2) midpoint grid of nw x nw points spans
+        the intersection of the box footprint with the ball footprint, so
         small boxes inside large balls stay resolved.
         """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if len(ys) > 128:  # small blocks: temporaries reused, not paged in anew per call
-            blocks = [ys[k : k + 128] for k in range(0, len(ys), 128)]
-            return np.concatenate([self.ball_box_measure(b, r, lo, hi, nw) for b in blocks])
-        w1lo = np.maximum(lo[0] - ys[:, 0], -r)
-        w1hi = np.minimum(hi[0] - ys[:, 0], r)
-        w2lo = np.maximum(lo[1] - ys[:, 1], -r)
-        w2hi = np.minimum(hi[1] - ys[:, 1], r)
+            per_row = lo.ndim == 2
+            return np.concatenate(
+                [
+                    self.ball_box_measure(
+                        ys[k : k + 128],
+                        r,
+                        lo[k : k + 128] if per_row else lo,
+                        hi[k : k + 128] if per_row else hi,
+                        nw,
+                    )
+                    for k in range(0, len(ys), 128)
+                ]
+            )
+        w1lo = np.maximum(lo[..., 0] - ys[:, 0], -r)
+        w1hi = np.minimum(hi[..., 0] - ys[:, 0], r)
+        w2lo = np.maximum(lo[..., 1] - ys[:, 1], -r)
+        w2hi = np.minimum(hi[..., 1] - ys[:, 1], r)
         L1 = np.clip(w1hi - w1lo, 0.0, None)
         L2 = np.clip(w2hi - w2lo, 0.0, None)
         offs = (np.arange(nw) + 0.5) / nw
@@ -289,8 +304,10 @@ class HeisenbergGeometry:
         sigma = 0.5 * (
             ys[:, 0, None, None] * W2[:, None, :] - ys[:, 1, None, None] * W1[:, :, None]
         )
-        top = np.minimum(hi[2] - ys[:, 2, None, None] - sigma, csec)
-        bot = np.maximum(lo[2] - ys[:, 2, None, None] - sigma, -csec)
+        t_lo = (lo[..., 2] - ys[:, 2])[:, None, None]
+        t_hi = (hi[..., 2] - ys[:, 2])[:, None, None]
+        top = np.minimum(t_hi - sigma, csec)
+        bot = np.maximum(t_lo - sigma, -csec)
         ell = np.maximum(top - bot, 0.0)
         return self.g.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .groups import Box, GroupDescriptor
 
@@ -24,6 +27,28 @@ def _check_exponent(q: float) -> float:
     if not (q >= 1.0):
         raise ValueError(f"exponent must lie in [1, inf], got {q}")
     return q
+
+
+def _unit_exponent(vmax: float, q: float, p: float = 1.0) -> int:
+    """Binary exponent e by which a positively homogeneous norm is scaled:
+    it is evaluated on the values ldexp(v, -e) <= 1 and scaled back by
+    2**e with :func:`_times_pow2`, both exactly.
+
+    e is the exponent of vmax, the largest value, where its finite powers
+    q and p could leave the float range, and 0 otherwise, so that ordinary
+    inputs are evaluated unscaled, to the bit.
+    """
+    e = math.frexp(vmax)[1]
+    power = max(q if q < INF else 1.0, p if p < INF else 1.0)
+    return e if abs(e) * power > 256 else 0
+
+
+def _times_pow2(x: float, e: int) -> float:
+    """x * 2**e, inf where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return INF
 
 
 @dataclass(frozen=True)
@@ -38,6 +63,11 @@ class Cell:
 class SimpleFunction:
     group: GroupDescriptor
     cells: tuple[Cell, ...]
+
+    @cached_property
+    def max_value(self) -> float:
+        """The largest cell value; 0 without cells."""
+        return max((c.value for c in self.cells), default=0.0)
 
     def support_measure(self) -> float:
         return sum(c.measure for c in self.cells if c.value > 0.0)
@@ -105,11 +135,25 @@ def simple_function(
         if value < 0.0 or not math.isfinite(value):
             raise ValueError("cell values must be finite and >= 0")
         built.append(Cell(lo, hi, value, group.box_measure(lo, hi)))
-    for i in range(len(built)):
-        for j in range(i + 1, len(built)):
-            if boxes_overlap(built[i].lo, built[i].hi, built[j].lo, built[j].hi):
-                raise ValueError(f"cells {i} and {j} overlap")
+    _check_disjoint(built)
     return SimpleFunction(group, tuple(built))
+
+
+def _check_disjoint(cells: Sequence[Cell]) -> None:
+    """Raise on the first overlapping pair found by a sweep along axis 0.
+
+    Cells are visited in order of lo[0]; the active list holds the cells
+    whose hi[0] lies above the current lo[0], which are exactly those that
+    meet the new cell on axis 0, so only they are tested on every axis.
+    """
+    active: list[int] = []
+    for j in sorted(range(len(cells)), key=lambda k: cells[k].lo[0]):
+        cj = cells[j]
+        active = [i for i in active if cells[i].hi[0] > cj.lo[0]]
+        for i in active:
+            if boxes_overlap(cells[i].lo, cells[i].hi, cj.lo, cj.hi):
+                raise ValueError(f"cells {min(i, j)} and {max(i, j)} overlap")
+        active.append(j)
 
 
 def zero_function(group: GroupDescriptor) -> SimpleFunction:
@@ -124,9 +168,10 @@ def lebesgue_norm(f: SimpleFunction, q: float) -> float:
     """Exact L^q norm: closed-form sum for q < inf, max value at q = inf."""
     q = _check_exponent(q)
     if math.isinf(q):
-        return max((c.value for c in f.cells), default=0.0)
-    total = sum(c.measure * c.value**q for c in f.cells)
-    return total ** (1.0 / q)
+        return f.max_value
+    e = _unit_exponent(f.max_value, q)
+    total = sum(c.measure * math.ldexp(c.value, -e) ** q for c in f.cells)
+    return _times_pow2(total ** (1.0 / q), e)
 
 
 def distribution_at(f: SimpleFunction, s: float) -> float:
@@ -199,11 +244,12 @@ def lorentz_norm(f: SimpleFunction, q: float, p: float) -> float:
             for i, v in enumerate(prof.values)
         )
     s = p / q
+    e = _unit_exponent(prof.values[0], p)
     total = 0.0
     for i, v in enumerate(prof.values):
         t0, t1 = prof.breakpoints[i], prof.breakpoints[i + 1]
-        total += v**p * (t1**s - t0**s)
-    return total ** (1.0 / p)
+        total += math.ldexp(v, -e) ** p * (t1**s - t0**s)
+    return _times_pow2(total ** (1.0 / p), e)
 
 
 def scale(f: SimpleFunction, factor: float) -> SimpleFunction:
@@ -212,6 +258,18 @@ def scale(f: SimpleFunction, factor: float) -> SimpleFunction:
     return SimpleFunction(
         f.group, tuple(Cell(c.lo, c.hi, a * c.value, c.measure) for c in f.cells)
     )
+
+
+def _axis0_neighbours(a: SimpleFunction, b: SimpleFunction) -> list[list[Cell]]:
+    """For each cell of a, the cells of b whose axis-0 extent meets it, in
+    b's order.  Any other cell of b misses it on axis 0, so it gives no
+    intersection and removes nothing in a subtraction."""
+    lo = np.array([c.lo[0] for c in b.cells])
+    hi = np.array([c.hi[0] for c in b.cells])
+    return [
+        [b.cells[k] for k in np.flatnonzero((lo < ca.hi[0]) & (ca.lo[0] < hi))]
+        for ca in a.cells
+    ]
 
 
 def pointwise_combine(
@@ -233,8 +291,8 @@ def pointwise_combine(
     group = f.group
     out: list[tuple[tuple, tuple, float]] = []
     if op == "product":
-        for cf in f.cells:
-            for cg in g.cells:
+        for cf, near in zip(f.cells, _axis0_neighbours(f, g)):
+            for cg in near:
                 inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
                 if inter is not None:
                     v = cf.value * cg.value
@@ -242,15 +300,16 @@ def pointwise_combine(
                         out.append((inter[0], inter[1], v))
         return simple_function(group, out)
     if op == "sum":
-        for cf in f.cells:
-            for cg in g.cells:
+        f_near = _axis0_neighbours(f, g)
+        for cf, near in zip(f.cells, f_near):
+            for cg in near:
                 inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
                 if inter is not None:
                     out.append((inter[0], inter[1], cf.value + cg.value))
-        for a, b in ((f, g), (g, f)):
-            for ca in a.cells:
+        for a, a_near in ((f, f_near), (g, _axis0_neighbours(g, f))):
+            for ca, near in zip(a.cells, a_near):
                 pieces = [(ca.lo, ca.hi)]
-                for cb in b.cells:
+                for cb in near:
                     pieces = [
                         sub
                         for lo, hi in pieces

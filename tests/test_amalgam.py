@@ -7,7 +7,7 @@ from amalgams.amalgam import ball_norm, compute_norm, conv_q_indicator, partitio
 from amalgams.fracmean import partition_for
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.partitions import build_pi_r
-from amalgams.simplefn import lebesgue_norm, simple_function, zero_function
+from amalgams.simplefn import lebesgue_norm, lorentz_norm, scale, simple_function, zero_function
 from amalgams.verify import gen_random_simple
 
 INF = math.inf
@@ -183,3 +183,55 @@ def test_ball_norm_sup_sup_is_largest_value(g):
     for seed in range(3):
         f = gen_random_simple(80 + seed, 1 + seed, window, g)
         assert ball_norm(f, g, 0.5, INF, INF) == max(c.value for c in f.cells)
+
+
+HOMOGENEITY_WINDOWS = {
+    "real-line": ((-4.0, 4.0),),
+    "aniso-plane": ((-1.0, 1.0), (-1.0, 1.0)),
+    "heisenberg": ((-0.5, 0.5), (-0.5, 0.5), (-0.25, 0.25)),
+}
+
+
+@pytest.mark.parametrize("g", [REAL_LINE, ANISO_PLANE, HEISENBERG], ids=lambda g: g.name)
+@pytest.mark.parametrize("factor", [1e300, 1e-300])
+def test_norms_of_extreme_multiples_scale_exactly(g, factor):
+    f = gen_random_simple(41, 3, HOMOGENEITY_WINDOWS[g.name], g)
+    big = scale(f, factor)
+    part = partition_for(f, g, 0.5)
+
+    def same(value, reference):
+        assert value == pytest.approx(factor * reference, rel=1e-12, abs=0.0)
+
+    for q in (1.0, 2.0, 3.5):
+        same(lebesgue_norm(big, q), lebesgue_norm(f, q))
+    for q, p in ((2.0, 2.0), (1.0, 3.0), (2.0, INF)):
+        same(lorentz_norm(big, q, p), lorentz_norm(f, q, p))
+    for q, p in ((2.0, 2.0), (INF, 2.0), (1.5, 3.0), (2.0, INF)):
+        same(partition_norm(big, part, q, p), partition_norm(f, part, q, p))
+    for q, p in ((2.0, 2.0), (INF, 2.0), (1.5, INF)):
+        same(ball_norm(big, g, 0.5, q, p), ball_norm(f, g, 0.5, q, p))
+    x = g.identity()
+    same(conv_q_indicator(big, 1.0, 0.5, x), conv_q_indicator(f, 1.0, 0.5, x))
+    # the q-th power of a norm: (1e150)^2 f's integral is 1e300 times f's
+    root = scale(f, math.sqrt(factor))
+    same(conv_q_indicator(root, 2.0, 0.5, x), conv_q_indicator(f, 2.0, 0.5, x))
+
+
+def test_conv_q_indicator_beyond_the_float_range_is_inf():
+    f = line_fn((0.0, 1.0, 1e300))
+    assert conv_q_indicator(f, 2.0, 1.0, (0.5,)) == INF
+
+
+@pytest.mark.parametrize("g", [REAL_LINE, ANISO_PLANE, HEISENBERG], ids=lambda g: g.name)
+def test_ball_box_kernel_takes_one_box_per_row(g):
+    rng = np.random.default_rng(7)
+    n = 300  # beyond one 128-row block of the Heisenberg kernel
+    ys = rng.uniform(-1.0, 1.0, (n, g.d))
+    lo = rng.uniform(-1.0, 0.5, (n, g.d))
+    hi = lo + rng.uniform(0.1, 1.0, (n, g.d))
+    rows = g.geometry.ball_box_measure(ys, 0.7, lo, hi, 16)
+    one_by_one = [
+        g.geometry.ball_box_measure(ys[k : k + 1], 0.7, lo[k], hi[k], 16)[0] for k in range(n)
+    ]
+    assert rows.shape == (n,)
+    np.testing.assert_allclose(rows, one_by_one, rtol=1e-12, atol=0.0)

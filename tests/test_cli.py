@@ -206,3 +206,37 @@ def test_out_dir_env(tmp_path, monkeypatch, capsys):
     cases = [InequalityCase("a", 1.0, 2.0, 1.0, 0.5, "pass", 0.0, {})]
     emit_report(cases, "json", "report.json")
     assert (tmp_path / "report.json").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lorentz", "--q", "2", "--p", "2"],
+        ["norm", "--form", "partition", "--q", "2", "--p", "2", "--r", "1"],
+        ["norm", "--form", "ball", "--q", "2", "--p", "2", "--r", "1"],
+        ["fracnorm", "--form", "partition", "--q", "2", "--p", "4", "--alpha", "3",
+         "--grid", "0.25:4:1"],
+    ],
+    ids=["lorentz", "norm-partition", "norm-ball", "fracnorm-partition"],
+)
+def test_huge_values_give_a_value_not_a_traceback(capsys, tmp_path, argv):
+    spec = {
+        "group": "real-line",
+        "cells": [
+            {"lo": [0], "hi": [1], "value": 1e300},
+            {"lo": [2], "hi": [3], "value": 1},
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    code = main(argv + ["--fn", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        payload = json.loads(captured.out, parse_constant=_reject_constant)
+        assert 1e299 < payload["value"] < 1e301

@@ -1,16 +1,18 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from amalgams.counterexample import (
     build_sparse_union,
+    check_separations,
     fractional_bound_constant,
     level_count,
     separation_bound,
     union_measure,
     weak_lorentz_of_union,
 )
-from amalgams.groups import ANISO_PLANE, REAL_LINE
+from amalgams.groups import ANISO_PLANE, REAL_LINE, GroupDescriptor
 from amalgams.simplefn import lorentz_norm, simple_function, zero_function
 
 INF = math.inf
@@ -109,3 +111,46 @@ def test_bound_rejects_bad_orderings():
         fractional_bound_constant(1.0, 2.0, 2.0)  # alpha = p: series diverges
     with pytest.raises(ValueError):
         fractional_bound_constant(1.0, INF, 2.0)
+
+
+def _moved_first_center(spec, level, to):
+    centers = list(spec.centers)
+    centers[level] = (to,) + centers[level][1:]
+    return replace(spec, centers=tuple(centers))
+
+
+def test_check_separations_reports_each_violation():
+    spec, _ = build_sparse_union(REAL_LINE, 1.0, 2.0, 3)
+    check_separations(spec, REAL_LINE)
+    # level-1 centers sit just over 16 apart: demand 32
+    wide = replace(spec, separations=(2.0 * spec.separations[0],) + spec.separations[1:])
+    with pytest.raises(ValueError, match="same-level separation violated at level 1"):
+        check_separations(wide, REAL_LINE)
+    # a level-2 ball 0.45 from the last level-1 center: disjoint (0.25 + 0.125
+    # < 0.45) but inside the cross-level threshold 2^-1
+    near = _moved_first_center(spec, 1, spec.centers[0][-1] + 0.45)
+    with pytest.raises(ValueError, match="cross-level separation threshold violated"):
+        check_separations(near, REAL_LINE)
+    # level-1 radii as large as their separation: the balls meet
+    fat = replace(spec, radii=(spec.separations[0],) + spec.radii[1:])
+    with pytest.raises(ValueError, match="balls are not disjoint"):
+        check_separations(fat, REAL_LINE)
+    with pytest.raises(ValueError):
+        check_separations(spec, ANISO_PLANE)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_check_separations_work_is_linear(monkeypatch, alpha):
+    spec, _ = build_sparse_union(REAL_LINE, 1.0, alpha, 8)
+    calls = []
+    real = GroupDescriptor.hom_norm
+
+    def counting(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(GroupDescriptor, "hom_norm", counting)
+    check_separations(spec, REAL_LINE)
+    centers = sum(len(level) for level in spec.centers)
+    assert centers == 1028
+    assert len(calls) <= 4 * centers

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amalgams import simplefn
 from amalgams.groups import ANISO_PLANE, REAL_LINE
 from amalgams.simplefn import (
     SimpleFunction,
+    box_intersection,
     box_subtract,
     distribution_at,
     indicator,
@@ -212,3 +215,122 @@ def test_validation_errors():
         simple_function(ANISO_PLANE, [((0.0,), (1.0,), 1.0)])
     with pytest.raises(ValueError):
         pointwise_combine(F, indicator(ANISO_PLANE, (0, 0), (1, 1)), op="product")
+
+
+# -- sweeps of the construction layer --------------------------------------
+
+
+def _overlap_pairs(cells):
+    """All-pairs reference: (i, j), i < j, of half-open boxes sharing volume."""
+    return {
+        (i, j)
+        for i in range(len(cells))
+        for j in range(i + 1, len(cells))
+        if all(
+            a1 < b2 and a2 < b1
+            for a1, b1, a2, b2 in zip(cells[i][0], cells[i][1], cells[j][0], cells[j][1])
+        )
+    }
+
+
+@st.composite
+def grid_boxes(draw, d):
+    """Boxes on a coarse integer grid, so that touching and shared faces are common."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    cells = []
+    for _ in range(n):
+        lo = [draw(st.integers(min_value=0, max_value=6)) for _ in range(d)]
+        width = [draw(st.integers(min_value=1, max_value=3)) for _ in range(d)]
+        cells.append((tuple(float(a) for a in lo), tuple(float(a + w) for a, w in zip(lo, width)), 1.0))
+    return cells
+
+
+def _check_against_reference(g, cells):
+    pairs = _overlap_pairs(cells)
+    if not pairs:
+        f = simple_function(g, cells)
+        assert [(c.lo, c.hi) for c in f.cells] == [(lo, hi) for lo, hi, _ in cells]
+        return
+    with pytest.raises(ValueError, match="overlap") as info:
+        simple_function(g, cells)
+    i, j = (int(w) for w in str(info.value).split()[1::2])
+    assert (i, j) in pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_boxes(1))
+@example([((0.0,), (1.0,), 1.0), ((1.0,), (2.0,), 1.0)])  # touching
+@example([((0.0,), (3.0,), 1.0), ((4.0,), (5.0,), 1.0), ((1.0,), (2.0,), 1.0)])
+def test_overlap_sweep_matches_all_pairs_line(cells):
+    _check_against_reference(REAL_LINE, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_boxes(2))
+@example([((0.0, 0.0), (2.0, 1.0), 1.0), ((1.0, 1.0), (3.0, 2.0), 1.0)])  # axis 0 only
+@example([((0.0, 0.0), (2.0, 1.0), 1.0), ((0.0, 1.0), (2.0, 2.0), 1.0), ((1.0, 0.5), (3.0, 0.75), 1.0)])
+def test_overlap_sweep_matches_all_pairs_plane(cells):
+    _check_against_reference(ANISO_PLANE, cells)
+
+
+def _reference_combine(f, g, op):
+    """The all-pairs common refinement, as a list of (lo, hi, value)."""
+    out = []
+    for cf in f.cells:
+        for cg in g.cells:
+            inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
+            if inter is None:
+                continue
+            v = cf.value * cg.value if op == "product" else cf.value + cg.value
+            if op == "sum" or v > 0.0:
+                out.append((inter[0], inter[1], v))
+    if op == "sum":
+        for a, b in ((f, g), (g, f)):
+            for ca in a.cells:
+                pieces = [(ca.lo, ca.hi)]
+                for cb in b.cells:
+                    pieces = [sub for lo, hi in pieces for sub in box_subtract(lo, hi, cb.lo, cb.hi)]
+                out.extend((lo, hi, ca.value) for lo, hi in pieces)
+    return simple_function(f.group, out).cells
+
+
+def _seeded_function(g, seed):
+    """Disjoint cells in shuffled order: intervals on the line, a sparse grid in the plane."""
+    rng = np.random.default_rng(seed)
+    if g.d == 1:
+        lens = rng.uniform(0.3, 2.0, 40)
+        los = np.cumsum(rng.uniform(0.0, 1.0, 40) + lens) - lens
+        boxes = [((float(a),), (float(a + w),)) for a, w in zip(los, lens)]
+    else:
+        xs, ys = np.sort(rng.uniform(0, 10, 7)), np.sort(rng.uniform(0, 10, 7))
+        boxes = [
+            ((float(xs[i]), float(ys[j])), (float(xs[i + 1]), float(ys[j + 1])))
+            for i in range(6)
+            for j in range(6)
+            if rng.uniform() < 0.7
+        ]
+    cells = [(lo, hi, float(rng.uniform(0.0, 5.0))) for lo, hi in boxes]
+    return simple_function(g, [cells[k] for k in rng.permutation(len(cells))])
+
+
+@pytest.mark.parametrize("g", [REAL_LINE, ANISO_PLANE], ids=lambda g: g.name)
+@pytest.mark.parametrize("op", ["product", "sum"])
+def test_combine_matches_all_pairs_reference(g, op):
+    for seed in range(10):
+        f, h = _seeded_function(g, 2 * seed), _seeded_function(g, 2 * seed + 1)
+        assert pointwise_combine(f, h, op=op).cells == _reference_combine(f, h, op)
+
+
+def test_overlap_sweep_work_is_linear_on_sorted_intervals(monkeypatch):
+    calls = []
+    real = simplefn.boxes_overlap
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simplefn, "boxes_overlap", counting)
+    n = 2000
+    f = simple_function(REAL_LINE, [((2.0 * k,), (2.0 * k + 1.5,), 1.0) for k in range(n)])
+    assert len(f.cells) == n
+    assert len(calls) <= 2 * n
