@@ -43,10 +43,6 @@ class AmalgamResult:
     note: str | None = None
 
 
-def _positive_cells(f: SimpleFunction):
-    return [c for c in f.cells if c.value > 0.0]
-
-
 def _require_support_in_window(f: SimpleFunction, part: UniformPartition) -> None:
     bb = f.bounding_box()
     if bb is None:
@@ -65,13 +61,12 @@ def partition_norm(
     if f.group.name != part.group.name:
         raise ValueError("function and partition live on different groups")
     _require_support_in_window(f, part)
-    cells = _positive_cells(f)
-    if not cells:
+    if f.is_zero():
         return 0.0
     e = _unit_exponent(f.max_value, q, p)
     if math.isinf(q):
         per_cell: dict[tuple, float] = {}
-        for c in cells:
+        for c in f.cells:
             v = math.ldexp(c.value, -e)
             for idx, m in part.intersections_with_box(c.lo, c.hi):
                 if m > 0.0:
@@ -79,7 +74,7 @@ def partition_norm(
         locals_q = list(per_cell.values())
     else:
         acc: dict[tuple, float] = {}
-        for c in cells:
+        for c in f.cells:
             vq = math.ldexp(c.value, -e) ** q
             for idx, m in part.intersections_with_box(c.lo, c.hi):
                 acc[idx] = acc.get(idx, 0.0) + vq * m
@@ -102,7 +97,7 @@ def conv_q_indicator(
         raise ValueError("q = inf is not supported here; use the sup-norm branch")
     if not 0 < r < math.inf:
         raise ValueError("ball radius must be positive and finite")
-    cells = _positive_cells(f)
+    cells = f.cells
     if not cells:
         return 0.0
     lo = np.array([c.lo for c in cells])
@@ -137,7 +132,7 @@ def ball_norm(
         raise ValueError("mesh must be positive and finite")
     if f.group.name != g.name:
         raise ValueError("function group does not match the requested group")
-    if not _positive_cells(f):
+    if f.is_zero():
         return 0.0
     if g.d == 1:  # the y-integrand is piecewise linear: exact sweep
         return _ball_norm_line(f, r, q, p)
@@ -145,7 +140,7 @@ def ball_norm(
 
 
 def _ball_norm_line(f: SimpleFunction, r: float, q: float, p: float) -> float:
-    cells = _positive_cells(f)
+    cells = f.cells
     scale = f.group.measure_scale
     e = _unit_exponent(f.max_value, q, p)
     if math.isinf(q):
@@ -225,9 +220,8 @@ def _ball_norm_quadrature(
     grids = np.meshgrid(*(y for y, _ in axes), indexing="ij")
     ys = np.stack([Y.ravel() for Y in grids], axis=1)
     local = np.zeros(len(ys))
-    cells = _positive_cells(f)
     e = _unit_exponent(f.max_value, q, p)
-    for c in cells:
+    for c in f.cells:
         # 8 x 8 inner (w1, w2) grid on the Heisenberg group
         overlap = g.geometry.ball_box_measure(ys, r, c.lo, c.hi, 8)
         v = math.ldexp(c.value, -e)

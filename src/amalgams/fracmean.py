@@ -199,9 +199,7 @@ class DivergenceDiagnostic:
 
 
 def _min_cell_extent(f: SimpleFunction) -> float:
-    return min(
-        min(b - a for a, b in zip(c.lo, c.hi)) for c in f.cells if c.value > 0.0
-    )
+    return min(min(b - a for a, b in zip(c.lo, c.hi)) for c in f.cells)
 
 
 def divergence_diagnostic(

@@ -15,8 +15,9 @@ All three norms satisfy the plain triangle inequality (gamma = 1); the
 stored gamma is still carried through every constant so that the code
 remains correct for gamma > 1 instances.
 
-Each instance also carries its geometry: how the scale-r partition cells
-(see :mod:`amalgams.partitions`), the balls and the coordinate boxes of
+Each instance's geometry is the one place that knows the group: its law,
+norm and Haar scale, and how the scale-r partition cells (see
+:mod:`amalgams.partitions`), the balls and the coordinate boxes of
 simple functions meet.  :class:`BoxGeometry` serves the abelian
 instances, whose balls and cells are coordinate boxes with half-widths
 r**a_i; :class:`HeisenbergGeometry` serves the sheared cells of the
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,25 +42,30 @@ Index = tuple[int, ...]
 class GroupDescriptor:
     """A concrete homogeneous group with normalized Haar measure.
 
-    ``measure_scale`` multiplies d-dimensional Lebesgue volume; it is
-    fixed per instance so that ``ball_measure(r) == r**rho`` exactly.
-    Instances are immutable and all operations are pure.
-    ``geometry`` is built from ``geometry_type`` and the instance itself.
+    ``geometry`` is built from ``geometry_type`` and the instance itself,
+    and holds the group law, the norm and the Haar scale; ``d`` and
+    ``measure_scale`` are derived.  Instances are immutable and all
+    operations are pure.
     """
 
     name: str
-    d: int
     dilation_exponents: tuple[float, ...]
     gamma: float
-    measure_scale: float
-    compose_fn: Callable[[Point, Point], Point]
-    invert_fn: Callable[[Point], Point]
-    norm_fn: Callable[[Point], float]
     geometry_type: type
     geometry: BoxGeometry | HeisenbergGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", self.geometry_type(self))
+
+    @property
+    def d(self) -> int:
+        return len(self.dilation_exponents)
+
+    @property
+    def measure_scale(self) -> float:
+        """Multiplies d-dimensional Lebesgue volume, so that
+        ``ball_measure(r) == r**rho`` exactly."""
+        return self.geometry.measure_scale
 
     @property
     def rho(self) -> float:
@@ -78,13 +84,13 @@ class GroupDescriptor:
         return tuple(float(c) for c in x)
 
     def compose(self, x: Point, y: Point) -> Point:
-        return self.compose_fn(self._check_point(x), self._check_point(y))
+        return self.geometry.compose(self._check_point(x), self._check_point(y))
 
     def invert(self, x: Point) -> Point:
-        return self.invert_fn(self._check_point(x))
+        return self.geometry.invert(self._check_point(x))
 
     def hom_norm(self, x: Point) -> float:
-        return self.norm_fn(self._check_point(x))
+        return self.geometry.norm(self._check_point(x))
 
     def dilate(self, r: float, x: Point) -> Point:
         if r <= 0:
@@ -114,11 +120,23 @@ def _axis_range(lo: float, hi: float, step: float) -> range:
 
 
 class BoxGeometry:
-    """Abelian instances: balls and cells are coordinate boxes with
-    half-widths r**a_i, so every overlap factors over the axes."""
+    """Abelian instances: (R^d, +) with the norm max_i |x_i|^(1/a_i), so
+    balls and cells are coordinate boxes with half-widths r**a_i and every
+    overlap factors over the axes."""
 
     def __init__(self, g: GroupDescriptor):
         self.g = g
+        # B(e, 1) is the box (-1, 1)^d of volume 2^d
+        self.measure_scale = 0.5**g.d
+
+    def compose(self, x: Point, y: Point) -> Point:
+        return tuple(a + b for a, b in zip(x, y))
+
+    def invert(self, x: Point) -> Point:
+        return tuple(-a for a in x)
+
+    def norm(self, x: Point) -> float:
+        return max(abs(c) ** (1.0 / a) for c, a in zip(x, self.g.dilation_exponents))
 
     def cell_half_extents(self, u: float) -> tuple[float, ...]:
         """Half-widths u**a_i of the cells at U-radius u, and of B(e, u)."""
@@ -134,7 +152,7 @@ class BoxGeometry:
         )
 
     def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
-        scale = self.g.measure_scale
+        scale = self.measure_scale
         steps = part.steps
         ranges = [_axis_range(lo[a], hi[a], steps[a]) for a in range(self.g.d)]
         for idx in itertools.product(*ranges):
@@ -159,7 +177,7 @@ class BoxGeometry:
         """Exact Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys;
         lo and hi are one box, or arrays of shape (n, d) with one box per row."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        vol = self.g.measure_scale
+        vol = self.measure_scale
         for ax, w in enumerate(self.cell_half_extents(r)):
             y = ys[:, ax]
             vol = vol * np.clip(
@@ -175,18 +193,35 @@ class BoxGeometry:
             for (lo, hi), w, a in zip(bb, self.cell_half_extents(r), self.g.dilation_exponents)
         ]
 
-    def ball_quadrature(self, r: float, center: Point, mesh: int) -> float:
-        """The ball is a box, so every midpoint in the first coordinate sees
-        the same section and the rule is exact: 2r times that section."""
-        section = math.prod(2.0 * w for w in self.cell_half_extents(r)[1:])
-        return float(self.g.measure_scale * 2.0 * r * section)
-
 
 class HeisenbergGeometry:
-    """Sheared cells z.Q (see :mod:`amalgams.partitions`), quadrature ball overlaps."""
+    """The step-2 law and its gauge, sheared cells z.Q (see
+    :mod:`amalgams.partitions`), quadrature ball overlaps."""
+
+    # B(e,1) has volume pi^2/8 under this gauge.
+    measure_scale = 8.0 / math.pi**2
 
     def __init__(self, g: GroupDescriptor):
         self.g = g
+
+    def compose(self, x: Point, y: Point) -> Point:
+        return (
+            x[0] + y[0],
+            x[1] + y[1],
+            x[2] + y[2] + 0.5 * (x[0] * y[1] - x[1] * y[0]),
+        )
+
+    def invert(self, x: Point) -> Point:
+        return (-x[0], -x[1], -x[2])
+
+    def norm(self, x: Point) -> float:
+        # evaluate on delta_{1/m}(x) and scale back, so that squaring neither
+        # underflows nor overflows; t is divided by m twice since m*m can underflow
+        m = max(abs(x[0]), abs(x[1]), math.sqrt(abs(x[2])))
+        if m == 0.0:
+            return 0.0
+        a, b, t = x[0] / m, x[1] / m, x[2] / m / m
+        return m * ((a**2 + b**2) ** 2 + 16.0 * t**2) ** 0.25
 
     def cell_half_extents(self, u: float) -> tuple[float, ...]:
         return (u, u, u * u / 4.0)
@@ -219,7 +254,7 @@ class HeisenbergGeometry:
     def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
         u = part.half_extents[0]
         h3, s3 = part.half_extents[2], part.steps[2]
-        scale = self.g.measure_scale
+        scale = self.measure_scale
         for i in _axis_range(lo[0], hi[0], part.steps[0]):
             for j in _axis_range(lo[1], hi[1], part.steps[1]):
                 z1 = (i + 0.5) * part.steps[0]
@@ -243,9 +278,7 @@ class HeisenbergGeometry:
                 k_max = math.ceil((hi[2] - s_min + h3) / s3 - 0.5)
                 for k in range(k_min, k_max + 1):
                     z3 = (k + 0.5) * s3
-                    m = _sheared_slab_measure(
-                        a, b, w1lo, w1hi, w2lo, w2hi, h3, lo[2] - z3, hi[2] - z3, dens
-                    )
+                    m = _sheared_slab_measure(h3, lo[2] - z3, hi[2] - z3, dens)
                     if m > 0.0:
                         yield (i, j, k), scale * m
 
@@ -309,7 +342,7 @@ class HeisenbergGeometry:
         top = np.minimum(t_hi - sigma, csec)
         bot = np.maximum(t_lo - sigma, -csec)
         ell = np.maximum(top - bot, 0.0)
-        return self.g.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
+        return self.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
         """As for boxes; the shear pads t, whose step follows the t-extent r^2/4."""
@@ -322,35 +355,17 @@ class HeisenbergGeometry:
             (bb[2][0] - t_pad, bb[2][1] + t_pad, mesh * r / 4.0),
         ]
 
-    def ball_quadrature(self, r: float, center: Point, mesh: int) -> float:
-        """Midpoint rule in (x, y), exact t-section (the same for every center)."""
-        h = 2.0 * r / mesh
-        w = -r + (np.arange(mesh) + 0.5) * h
-        W1, W2 = np.meshgrid(w, w, indexing="ij")
-        s = W1**2 + W2**2
-        sect = np.where(s < r * r, 0.5 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
-        return float(self.g.measure_scale * h * h * sect.sum())
-
 
 # -- piecewise-linear helpers for the sheared intersection ----------------
 
 
 def _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi):
-    """Unnormalized density of s = a*w1 + b*w2 under dw1 dw2 on the box.
+    """Unnormalized density of s = a*w1 + b*w2 under dw1 dw2 on the box,
+    for a, b != 0 (the cell centres of a column are off both axes).
 
     Returns (knots, values) of a piecewise-linear function with total
-    mass (w1hi - w1lo) * (w2hi - w2lo), or None when s is constant.
+    mass (w1hi - w1lo) * (w2hi - w2lo).
     """
-    L1, L2 = w1hi - w1lo, w2hi - w2lo
-    if a == 0.0 and b == 0.0:
-        return None
-    if a == 0.0 or b == 0.0:
-        coef, length, other = (b, L2, L1) if a == 0.0 else (a, L1, L2)
-        e1 = coef * (w1lo if a != 0.0 else w2lo)
-        e2 = coef * (w1hi if a != 0.0 else w2hi)
-        slo, shi = min(e1, e2), max(e1, e2)
-        height = other / abs(coef)
-        return (slo, slo, shi, shi), (0.0, height, height, 0.0)
     ia = sorted((a * w1lo, a * w1hi))
     ib = sorted((b * w2lo, b * w2hi))
     la, lb = ia[1] - ia[0], ib[1] - ib[0]
@@ -381,8 +396,6 @@ def _integrate_pl_product(k1, v1, k2, v2) -> float:
     knots = [lo] + [k for k in knots if lo < k < hi] + [hi]
     total = 0.0
     for x0, x1 in zip(knots[:-1], knots[1:]):
-        if x1 <= x0:
-            continue
         xm = 0.5 * (x0 + x1)
         f0 = np.interp(x0, k1, v1) * np.interp(x0, k2, v2)
         fm = np.interp(xm, k1, v1) * np.interp(xm, k2, v2)
@@ -391,93 +404,35 @@ def _integrate_pl_product(k1, v1, k2, v2) -> float:
     return total
 
 
-def _sheared_slab_measure(a, b, w1lo, w1hi, w2lo, w2hi, h3, A, B, dens) -> float:
-    """Lebesgue volume of {w in box : w3 in [-h3, h3) ^ [A - s(w), B - s(w))}."""
+def _sheared_slab_measure(h3, A, B, dens) -> float:
+    """Lebesgue volume of {w in box : w3 in [-h3, h3) ^ [A - s(w), B - s(w))},
+    where dens is the density of the shear s over the box's footprint."""
     if B <= A:
         return 0.0
-    if dens is None:
-        ell = max(0.0, min(h3, B) - max(-h3, A))
-        return ell * (w1hi - w1lo) * (w2hi - w2lo)
     ok, ov = _overlap_trapezoid(-h3, h3, A, B)
     return _integrate_pl_product(ok, ov, dens[0], dens[1])
 
 
-def _abelian_compose(x: Point, y: Point) -> Point:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _abelian_invert(x: Point) -> Point:
-    return tuple(-a for a in x)
-
-
-def _line_norm(x: Point) -> float:
-    return abs(x[0])
-
-
-def _plane_norm(x: Point) -> float:
-    return max(abs(x[0]), math.sqrt(abs(x[1])))
-
-
-def _heis_compose(x: Point, y: Point) -> Point:
-    return (
-        x[0] + y[0],
-        x[1] + y[1],
-        x[2] + y[2] + 0.5 * (x[0] * y[1] - x[1] * y[0]),
-    )
-
-
-def _heis_invert(x: Point) -> Point:
-    return (-x[0], -x[1], -x[2])
-
-
-def _heis_norm(x: Point) -> float:
-    # evaluate on delta_{1/m}(x) and scale back, so that squaring neither
-    # underflows nor overflows; t is divided by m twice since m*m can underflow
-    m = max(abs(x[0]), abs(x[1]), math.sqrt(abs(x[2])))
-    if m == 0.0:
-        return 0.0
-    a, b, t = x[0] / m, x[1] / m, x[2] / m / m
-    return m * ((a**2 + b**2) ** 2 + 16.0 * t**2) ** 0.25
-
-
 REAL_LINE = GroupDescriptor(
     name="real-line",
-    d=1,
     dilation_exponents=(1.0,),
     gamma=1.0,
-    # Lebesgue length of (-r, r) is 2r; scale 1/2 gives ball measure r.
-    measure_scale=0.5,
-    compose_fn=_abelian_compose,
-    invert_fn=_abelian_invert,
-    norm_fn=_line_norm,
     geometry_type=BoxGeometry,
 )
 
 ANISO_PLANE = GroupDescriptor(
     name="aniso-plane",
-    d=2,
     dilation_exponents=(1.0, 2.0),
     # Subadditivity of max(|.|, sqrt|.|) gives gamma = 1; confirmed by
     # the sampled estimate in the test suite.
     gamma=1.0,
-    # B(e,1) is the box (-1,1) x (-1,1) of volume 4.
-    measure_scale=0.25,
-    compose_fn=_abelian_compose,
-    invert_fn=_abelian_invert,
-    norm_fn=_plane_norm,
     geometry_type=BoxGeometry,
 )
 
 HEISENBERG = GroupDescriptor(
     name="heisenberg",
-    d=3,
     dilation_exponents=(1.0, 1.0, 2.0),
     gamma=1.0,
-    # B(e,1) has volume pi^2/8 under this gauge.
-    measure_scale=8.0 / math.pi**2,
-    compose_fn=_heis_compose,
-    invert_fn=_heis_invert,
-    norm_fn=_heis_norm,
     geometry_type=HeisenbergGeometry,
 )
 
@@ -513,18 +468,3 @@ def estimate_gamma(g: GroupDescriptor, n_pairs: int = 10_000, seed: int = 7) -> 
             worst = max(worst, g.hom_norm(g.compose(xt, yt)) / denom)
     return worst
 
-
-def ball_measure_quadrature(
-    g: GroupDescriptor, r: float, center: Point | None = None, mesh: int = 256
-) -> float:
-    """Midpoint-quadrature Haar measure of the ball center.B(e, r).
-
-    Coordinates whose ball section has a closed form are integrated
-    exactly, the others by the midpoint rule with ``mesh`` points per
-    axis; the rule is the group geometry's ``ball_quadrature``.
-    """
-    if r <= 0:
-        raise ValueError("ball radius must be positive")
-    if center is None:
-        center = g.identity()
-    return g.geometry.ball_quadrature(r, center, mesh)

@@ -25,6 +25,7 @@ enumerated.  The cells' geometry lives in :mod:`amalgams.groups`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
@@ -108,6 +109,11 @@ def build_pi_r(g: GroupDescriptor, r: float, window: Box) -> UniformPartition:
         raise ValueError("window must be a nonempty box matching the group dimension")
     half, steps = cell_shape(g, r)
     for (a, b), s in zip(window, steps):
+        # past 2**53 steps floor(x / step) no longer gives exact cell indices
+        if s < sys.float_info.min or (b - a) / s >= 2.0**53:
+            raise ValueError(
+                f"scale r = {r} out of range: lattice step {s} over axis extent {b - a}"
+            )
         if b - a < s:
             raise ValueError(
                 f"degenerate window: axis extent {b - a} below cell extent {s}"

@@ -1,11 +1,11 @@
 """Simple (finitely-valued, piecewise-constant) functions and their
 exact Lebesgue, distribution, rearrangement and Lorentz computations.
 
-A :class:`SimpleFunction` stores nonnegative values on pairwise-disjoint
+A :class:`SimpleFunction` stores positive values on pairwise-disjoint
 half-open coordinate boxes; every norm in this package then reduces to a
 finite closed-form sum, so there is no quadrature error in this module.
 Only the modulus |f| matters for any norm in scope, hence values are
-kept nonnegative.
+nonnegative; a zero-valued cell adds nothing to any norm and is not stored.
 """
 
 from __future__ import annotations
@@ -69,19 +69,23 @@ class SimpleFunction:
         """The largest cell value; 0 without cells."""
         return max((c.value for c in self.cells), default=0.0)
 
-    def support_measure(self) -> float:
-        return sum(c.measure for c in self.cells if c.value > 0.0)
-
-    def bounding_box(self) -> Box | None:
-        cells = [c for c in self.cells if c.value > 0.0]
-        if not cells:
+    @cached_property
+    def _support_box(self) -> Box | None:
+        if not self.cells:
             return None
-        lo = [min(c.lo[i] for c in cells) for i in range(self.group.d)]
-        hi = [max(c.hi[i] for c in cells) for i in range(self.group.d)]
+        lo = [min(c.lo[i] for c in self.cells) for i in range(self.group.d)]
+        hi = [max(c.hi[i] for c in self.cells) for i in range(self.group.d)]
         return tuple(zip(lo, hi))
 
+    def support_measure(self) -> float:
+        return sum(c.measure for c in self.cells)
+
+    def bounding_box(self) -> Box | None:
+        """Smallest coordinate box holding the support; None for zero."""
+        return self._support_box
+
     def is_zero(self) -> bool:
-        return all(c.value == 0.0 for c in self.cells)
+        return not self.cells
 
 
 def boxes_overlap(lo1, hi1, lo2, hi2) -> bool:
@@ -120,7 +124,10 @@ def simple_function(
     group: GroupDescriptor,
     cells: Iterable[tuple[Sequence[float], Sequence[float], float]],
 ) -> SimpleFunction:
-    """Build a validated SimpleFunction from (lo, hi, value) triples."""
+    """Build a validated SimpleFunction from (lo, hi, value) triples.
+
+    Every cell is validated and checked for overlaps, but only the cells
+    with a positive value are stored."""
     built: list[Cell] = []
     for lo, hi, value in cells:
         lo = tuple(float(a) for a in lo)
@@ -136,7 +143,7 @@ def simple_function(
             raise ValueError("cell values must be finite and >= 0")
         built.append(Cell(lo, hi, value, group.box_measure(lo, hi)))
     _check_disjoint(built)
-    return SimpleFunction(group, tuple(built))
+    return SimpleFunction(group, tuple(c for c in built if c.value > 0.0))
 
 
 def _check_disjoint(cells: Sequence[Cell]) -> None:
@@ -207,9 +214,7 @@ class StepProfile:
 
 def rearrangement(f: SimpleFunction) -> StepProfile:
     """Decreasing rearrangement f*, canonicalized (equal values merged)."""
-    weighted = sorted(
-        ((c.value, c.measure) for c in f.cells if c.value > 0.0), reverse=True
-    )
+    weighted = sorted(((c.value, c.measure) for c in f.cells), reverse=True)
     breakpoints = [0.0]
     values: list[float] = []
     for v, m in weighted:
@@ -255,9 +260,8 @@ def lorentz_norm(f: SimpleFunction, q: float, p: float) -> float:
 def scale(f: SimpleFunction, factor: float) -> SimpleFunction:
     """|factor| * f (values are moduli, so the sign is dropped)."""
     a = abs(float(factor))
-    return SimpleFunction(
-        f.group, tuple(Cell(c.lo, c.hi, a * c.value, c.measure) for c in f.cells)
-    )
+    cells = (Cell(c.lo, c.hi, a * c.value, c.measure) for c in f.cells)
+    return SimpleFunction(f.group, tuple(c for c in cells if c.value > 0.0))
 
 
 def _axis0_neighbours(a: SimpleFunction, b: SimpleFunction) -> list[list[Cell]]:
@@ -295,9 +299,7 @@ def pointwise_combine(
             for cg in near:
                 inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
                 if inter is not None:
-                    v = cf.value * cg.value
-                    if v > 0.0:
-                        out.append((inter[0], inter[1], v))
+                    out.append((inter[0], inter[1], cf.value * cg.value))
         return simple_function(group, out)
     if op == "sum":
         f_near = _axis0_neighbours(f, g)

@@ -240,3 +240,27 @@ def test_huge_values_give_a_value_not_a_traceback(capsys, tmp_path, argv):
     if code == 0:
         payload = json.loads(captured.out, parse_constant=_reject_constant)
         assert 1e299 < payload["value"] < 1e301
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition-info", "--group", "real-line", "--r", "5e-324", "--window=-1:1"],
+        ["partition-info", "--group", "real-line", "--r", "1e-310", "--window=-1:1"],
+        ["norm", "--form", "partition", "--q", "2", "--p", "2", "--r", "1e-200"],
+    ],
+    ids=["step-zero", "step-subnormal", "heisenberg-t-step-underflows"],
+)
+def test_out_of_range_scale_is_usage_error(capsys, tmp_path, argv):
+    if argv[0] == "norm":
+        spec = {"group": "heisenberg",
+                "cells": [{"lo": [0, 0, 0], "hi": [1e-200, 1e-200, 1e-300], "value": 1}]}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + ["--fn", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

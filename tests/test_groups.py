@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from amalgams.groups import (
     GROUPS,
     HEISENBERG,
     REAL_LINE,
-    ball_measure_quadrature,
+    GroupDescriptor,
     estimate_gamma,
     get_group,
     sample_points,
@@ -107,18 +108,47 @@ def test_ball_measure_examples():
         REAL_LINE.ball_measure(-1.0)
 
 
+def _translated_ball_measure(g, center, r):
+    """Haar measure of center.B(e, r) by the geometry's ball-box kernel, over
+    a box holding the translated ball."""
+    lo, hi = zip(*g.geometry.translate_box(center, 1.01 * r))
+    return float(g.geometry.ball_box_measure(np.array([center], dtype=float), r, lo, hi, 256)[0])
+
+
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_ball_measure_quadrature_matches_power(g, r):
-    quad = ball_measure_quadrature(g, r, mesh=256)
+    quad = _translated_ball_measure(g, g.identity(), r)
     assert quad == pytest.approx(g.ball_measure(r), rel=5e-3)
 
 
 def test_heisenberg_left_invariance_quadrature():
     g = HEISENBERG
     for a in [(0.7, -0.4, 0.2), (-1.5, 2.0, -0.3)]:
-        quad = ball_measure_quadrature(g, 1.3, center=a, mesh=256)
+        quad = _translated_ball_measure(g, a, 1.3)
         assert quad == pytest.approx(g.ball_measure(1.3), rel=0.01)
+
+
+def test_descriptor_takes_four_fields():
+    names = [f.name for f in dataclasses.fields(GroupDescriptor) if f.init]
+    assert names == ["name", "dilation_exponents", "gamma", "geometry_type"]
+
+
+def test_derived_dimension_and_measure_scale():
+    assert [g.d for g in ALL] == [1, 2, 3]
+    assert REAL_LINE.measure_scale == 0.5
+    assert ANISO_PLANE.measure_scale == 0.25
+    assert HEISENBERG.measure_scale == 8.0 / math.pi**2
+
+
+def test_box_norm_matches_the_closed_forms():
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-30, 30, 2000)
+    for x in xs:
+        assert REAL_LINE.hom_norm((x,)) == abs(x)
+    for x1, x2 in xs.reshape(-1, 2):
+        want = max(abs(x1), math.sqrt(abs(x2)))
+        assert abs(ANISO_PLANE.hom_norm((x1, x2)) - want) <= math.ulp(want)
 
 
 def test_dilate_examples():

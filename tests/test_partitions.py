@@ -145,3 +145,20 @@ def test_count_translate_hits_heisenberg_sampled():
         a = tuple(rng.uniform(-2.0, 2.0, 3))
         hits = count_translate_hits(p, 1.0, a)
         assert 1 <= hits <= bound
+
+
+@pytest.mark.parametrize("g", [REAL_LINE, HEISENBERG], ids=lambda g: g.name)
+def test_build_pi_r_rejects_out_of_range_scale(g):
+    unit = tuple((-1.0, 1.0) for _ in range(g.d))
+    # a lattice step below the smallest normal float (subnormal or 0)
+    for r in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="out of range"):
+            build_pi_r(g, r, unit)
+    with pytest.raises(ValueError, match="out of range"):
+        build_pi_r(g, 1e-200, unit)  # Heisenberg t-step underflows; line: 2e200 steps
+    # a window of 2**53 or more steps (the x-step is 2 at r = 4), where
+    # floor(x / step) is no longer exact
+    wide = tuple((-(2.0**53), 2.0**53) for _ in range(g.d))
+    with pytest.raises(ValueError, match="out of range"):
+        build_pi_r(g, 4.0, wide)
+    build_pi_r(g, 4.0, tuple((-(2.0**50), 2.0**50) for _ in range(g.d)))

@@ -334,3 +334,21 @@ def test_overlap_sweep_work_is_linear_on_sorted_intervals(monkeypatch):
     f = simple_function(REAL_LINE, [((2.0 * k,), (2.0 * k + 1.5,), 1.0) for k in range(n)])
     assert len(f.cells) == n
     assert len(calls) <= 2 * n
+
+
+def test_zero_valued_cells_are_checked_but_not_stored():
+    f = line_fn((0.0, 1.0, 2.0), (1.0, 3.0, 0.0), (3.0, 4.0, 1.0))
+    assert [c.value for c in f.cells] == [2.0, 1.0]
+    assert f.support_measure() == 1.0
+    assert f.bounding_box() == ((0.0, 4.0),)
+    assert line_fn((0.0, 1.0, 0.0)).is_zero()
+    # the sweep still sees the zero-valued cell and names input indices
+    with pytest.raises(ValueError, match="cells 1 and 2 overlap"):
+        line_fn((5.0, 6.0, 1.0), (0.0, 2.0, 0.0), (1.0, 3.0, 1.0))
+
+
+def test_scale_by_zero_is_zero_and_support_box_is_computed_once():
+    f = line_fn((0.0, 1.0, 2.0), (2.0, 3.0, 1.0))
+    assert simplefn.scale(f, 0.0).is_zero()
+    assert simplefn.scale(f, 0.0).bounding_box() is None
+    assert f.bounding_box() is f.bounding_box()
