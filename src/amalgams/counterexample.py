@@ -70,6 +70,11 @@ def build_sparse_union(
         level_centers = []
         for _ in range(m):
             cursor += s * (1.0 + 1e-6)
+            if not math.isfinite(cursor) or cursor - rad == cursor + rad:
+                raise ValueError(
+                    f"sparse union leaves the float range at level {n}: centre "
+                    f"{cursor!r} cannot carry a ball of radius {rad!r}"
+                )
             level_centers.append(cursor)
         radii.append(rad)
         counts.append(m)

@@ -265,22 +265,30 @@ class HeisenbergGeometry:
                 w2hi = min(u, hi[1] - z2)
                 if w1lo >= w1hi or w2lo >= w2hi:
                     continue
-                # shear offset s(w) = a*w1 + b*w2 over the footprint
+                # shear offset s(w) = a*w1 + b*w2 over the footprint, with
+                # a*w1 in [a1, a2] and b*w2 in [b1, b2]; a, b != 0 off the axes
                 a, b = -z2 / 2.0, z1 / 2.0
-                s_corners = [
-                    a * w1 + b * w2
-                    for w1 in (w1lo, w1hi)
-                    for w2 in (w2lo, w2hi)
-                ]
-                s_min, s_max = min(s_corners), max(s_corners)
-                dens = _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi)
-                k_min = math.floor((lo[2] - s_max - h3) / s3 - 0.5)
-                k_max = math.ceil((hi[2] - s_min + h3) / s3 - 0.5)
-                for k in range(k_min, k_max + 1):
-                    z3 = (k + 0.5) * s3
-                    m = _sheared_slab_measure(h3, lo[2] - z3, hi[2] - z3, dens)
+                a1, a2 = sorted((a * w1lo, a * w1hi))
+                b1, b2 = sorted((b * w2lo, b * w2hi))
+                k_min = math.floor((lo[2] - (a2 + b2) - h3) / s3 - 0.5)
+                k_max = math.ceil((hi[2] - (a1 + b1) + h3) / s3 - 0.5)
+                z3 = (np.arange(k_min, k_max + 1) + 0.5) * s3
+                A, B = (lo[2] - z3)[:, None], (hi[2] - z3)[:, None]
+                # slab k: integral over s of the shear density |a b|^-1 *
+                # len([a1, a2] ^ [s - b2, s - b1]) times len([-h3, h3) ^ [A - s, B - s));
+                # the product is quadratic between the merged knots, where
+                # Simpson's rule is exact
+                corners = np.tile([a1 + b1, a1 + b2, a2 + b1, a2 + b2], (len(z3), 1))
+                knots = np.sort(np.hstack([A - h3, A + h3, B - h3, B + h3, corners]), axis=1)
+                x = np.clip(knots, np.maximum(A - h3, a1 + b1), np.minimum(B + h3, a2 + b2))
+                x0, x1 = x[:, :-1], x[:, 1:]
+                s = np.stack([x0, 0.5 * (x0 + x1), x1])  # (3, nk, 7)
+                fs = _overlap(a1, a2, s - b2, s - b1) * _overlap(-h3, h3, A - s, B - s)
+                ms = ((x1 - x0) * (fs[0] + 4.0 * fs[1] + fs[2]) / 6.0).sum(axis=1)
+                ms *= scale / abs(a * b)
+                for k, m in zip(range(k_min, k_max + 1), ms.tolist()):
                     if m > 0.0:
-                        yield (i, j, k), scale * m
+                        yield (i, j, k), m
 
     def translate_box(self, a: Point, r: float) -> Box:
         shear = 0.5 * (abs(a[0]) + abs(a[1])) * r
@@ -306,43 +314,43 @@ class HeisenbergGeometry:
         lo and hi are one box, or arrays of shape (n, 3) with one box per
         row.  Exact in t; the (w1, w2) midpoint grid of nw x nw points spans
         the intersection of the box footprint with the ball footprint, so
-        small boxes inside large balls stay resolved.
+        small boxes inside large balls stay resolved.  A row whose footprint
+        is empty, or whose t-range misses the reach of |w3| + |sigma| over
+        the footprint, is 0 without the grid.
         """
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if len(ys) > 128:  # small blocks: temporaries reused, not paged in anew per call
-            per_row = lo.ndim == 2
-            return np.concatenate(
-                [
-                    self.ball_box_measure(
-                        ys[k : k + 128],
-                        r,
-                        lo[k : k + 128] if per_row else lo,
-                        hi[k : k + 128] if per_row else hi,
-                        nw,
-                    )
-                    for k in range(0, len(ys), 128)
-                ]
-            )
         w1lo = np.maximum(lo[..., 0] - ys[:, 0], -r)
         w1hi = np.minimum(hi[..., 0] - ys[:, 0], r)
         w2lo = np.maximum(lo[..., 1] - ys[:, 1], -r)
         w2hi = np.minimum(hi[..., 1] - ys[:, 1], r)
-        L1 = np.clip(w1hi - w1lo, 0.0, None)
-        L2 = np.clip(w2hi - w2lo, 0.0, None)
-        offs = (np.arange(nw) + 0.5) / nw
-        W1 = w1lo[:, None] + L1[:, None] * offs[None, :]  # (ny, nw)
-        W2 = w2lo[:, None] + L2[:, None] * offs[None, :]
-        s = W1[:, :, None] ** 2 + W2[:, None, :] ** 2
-        csec = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
-        sigma = 0.5 * (
-            ys[:, 0, None, None] * W2[:, None, :] - ys[:, 1, None, None] * W1[:, :, None]
+        t_lo = lo[..., 2] - ys[:, 2]
+        t_hi = hi[..., 2] - ys[:, 2]
+        # bounds |w3| + |sigma| over the footprint; the slack covers rounding,
+        # so every row it skips has a grid sum of exactly 0
+        reach = 1.001 * (r * r / 4.0 + 0.5 * (
+            np.abs(ys[:, 0]) * np.maximum(np.abs(w2lo), np.abs(w2hi))
+            + np.abs(ys[:, 1]) * np.maximum(np.abs(w1lo), np.abs(w1hi))
+        ))
+        keep = np.flatnonzero(
+            (w1lo < w1hi) & (w2lo < w2hi) & (t_hi + reach > 0.0) & (t_lo - reach < 0.0)
         )
-        t_lo = (lo[..., 2] - ys[:, 2])[:, None, None]
-        t_hi = (hi[..., 2] - ys[:, 2])[:, None, None]
-        top = np.minimum(t_hi - sigma, csec)
-        bot = np.maximum(t_lo - sigma, -csec)
-        ell = np.maximum(top - bot, 0.0)
-        return self.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
+        out = np.zeros(len(ys))
+        offs = (np.arange(nw) + 0.5) / nw
+        for b in range(0, len(keep), 128):  # small blocks: temporaries reused, not paged in anew
+            k = keep[b : b + 128]
+            y, L1, L2 = ys[k], w1hi[k] - w1lo[k], w2hi[k] - w2lo[k]
+            W1 = w1lo[k][:, None] + L1[:, None] * offs[None, :]  # (ny, nw)
+            W2 = w2lo[k][:, None] + L2[:, None] * offs[None, :]
+            s = W1[:, :, None] ** 2 + W2[:, None, :] ** 2
+            csec = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
+            sigma = 0.5 * (
+                y[:, 0, None, None] * W2[:, None, :] - y[:, 1, None, None] * W1[:, :, None]
+            )
+            top = np.minimum(t_hi[k][:, None, None] - sigma, csec)
+            bot = np.maximum(t_lo[k][:, None, None] - sigma, -csec)
+            ell = np.maximum(top - bot, 0.0)
+            out[k] = self.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
+        return out
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
         """As for boxes; the shear pads t, whose step follows the t-extent r^2/4."""
@@ -356,61 +364,9 @@ class HeisenbergGeometry:
         ]
 
 
-# -- piecewise-linear helpers for the sheared intersection ----------------
-
-
-def _linear_pushforward_density(a, b, w1lo, w1hi, w2lo, w2hi):
-    """Unnormalized density of s = a*w1 + b*w2 under dw1 dw2 on the box,
-    for a, b != 0 (the cell centres of a column are off both axes).
-
-    Returns (knots, values) of a piecewise-linear function with total
-    mass (w1hi - w1lo) * (w2hi - w2lo).
-    """
-    ia = sorted((a * w1lo, a * w1hi))
-    ib = sorted((b * w2lo, b * w2hi))
-    la, lb = ia[1] - ia[0], ib[1] - ib[0]
-    lo = ia[0] + ib[0]
-    hi = ia[1] + ib[1]
-    rise = min(la, lb)
-    height = rise / (abs(a) * abs(b))
-    return (lo, lo + rise, hi - rise, hi), (0.0, height, height, 0.0)
-
-
-def _overlap_trapezoid(qlo, qhi, A, B):
-    """Knots/values of s -> length([qlo, qhi] ^ [A - s, B - s])."""
-    s_lo, s_hi = A - qhi, B - qlo
-    p1, p2 = B - qhi, A - qlo
-    if p1 > p2:
-        p1, p2 = p2, p1
-    wid = min(qhi - qlo, B - A)
-    return (s_lo, p1, p2, s_hi), (0.0, wid, wid, 0.0)
-
-
-def _integrate_pl_product(k1, v1, k2, v2) -> float:
-    """Exact integral of the product of two piecewise-linear functions."""
-    lo = max(k1[0], k2[0])
-    hi = min(k1[-1], k2[-1])
-    if lo >= hi:
-        return 0.0
-    knots = sorted(set(k1) | set(k2))
-    knots = [lo] + [k for k in knots if lo < k < hi] + [hi]
-    total = 0.0
-    for x0, x1 in zip(knots[:-1], knots[1:]):
-        xm = 0.5 * (x0 + x1)
-        f0 = np.interp(x0, k1, v1) * np.interp(x0, k2, v2)
-        fm = np.interp(xm, k1, v1) * np.interp(xm, k2, v2)
-        f1 = np.interp(x1, k1, v1) * np.interp(x1, k2, v2)
-        total += (x1 - x0) * (f0 + 4.0 * fm + f1) / 6.0
-    return total
-
-
-def _sheared_slab_measure(h3, A, B, dens) -> float:
-    """Lebesgue volume of {w in box : w3 in [-h3, h3) ^ [A - s(w), B - s(w))},
-    where dens is the density of the shear s over the box's footprint."""
-    if B <= A:
-        return 0.0
-    ok, ov = _overlap_trapezoid(-h3, h3, A, B)
-    return _integrate_pl_product(ok, ov, dens[0], dens[1])
+def _overlap(lo1, hi1, lo2, hi2):
+    """Length of [lo1, hi1] ^ [lo2, hi2], elementwise."""
+    return np.maximum(np.minimum(hi1, hi2) - np.maximum(lo1, lo2), 0.0)
 
 
 REAL_LINE = GroupDescriptor(

@@ -105,6 +105,14 @@ def test_counterexample_subcommand(capsys):
     assert all(lvl["margin"] > 0 for lvl in payload["by_level"])
 
 
+def test_counterexample_out_of_float_range_is_a_usage_error(capsys):
+    code = main(["counterexample", "--q", "1", "--alpha", "1.2", "--p", "4", "--levels", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "level 7" in err and "radius 0.00390625" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors(capsys, spec_path, tmp_path):
     # missing required flag
     assert main(["norm", "--form", "partition", "--p", "2", "--r", "1",

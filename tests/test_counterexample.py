@@ -57,6 +57,16 @@ def test_build_guards():
         build_sparse_union(ANISO_PLANE, 1.0, 2.0, 1)
 
 
+def test_build_names_the_float_range():
+    # alpha close to q spreads the centres to 3.6e13 by level 7, where a
+    # ball of radius 2^-8 is below one ulp
+    msg = r"level 7: centre 35605521210349\.83 .* radius 0\.00390625"
+    with pytest.raises(ValueError, match=msg):
+        build_sparse_union(REAL_LINE, 1.0, 1.2, 8)
+    spec, _ = build_sparse_union(REAL_LINE, 1.0, 1.2, 6)
+    assert spec.levels == 6
+
+
 def test_separations_hold_to_depth_eight():
     spec, f = build_sparse_union(REAL_LINE, 1.0, 2.0, 8)
     assert sum(spec.counts) == sum(2 ** (n + 1) + 1 for n in range(1, 9))
