@@ -81,7 +81,7 @@ def partition_norm(
         locals_q = [a ** (1.0 / q) for a in acc.values()]
     if math.isinf(p):
         return _times_pow2(max(locals_q, default=0.0), e)
-    return _times_pow2(sum(v**p for v in locals_q) ** (1.0 / p), e)
+    return _times_pow2(math.fsum(v**p for v in locals_q) ** (1.0 / p), e)
 
 
 # -- sliding-ball integral --------------------------------------------------

@@ -41,7 +41,18 @@ class SparseUnionSpec:
 
 def separation_bound(g: GroupDescriptor, q: float, alpha: float, n: int) -> float:
     gam = g.gamma
-    return gam * (1.0 + gam + 2.0 * gam**2) * 2.0 ** ((n + 1) * q / (alpha - q))
+    exponent = (n + 1) * q / (alpha - q)
+    try:
+        growth = 2.0**exponent
+    except OverflowError:
+        growth = math.inf
+    s = gam * (1.0 + gam + 2.0 * gam**2) * growth
+    if not math.isfinite(s):
+        raise ValueError(
+            f"sparse union leaves the float range at level {n}: the separation "
+            f"bound carries the factor 2**{exponent!r}"
+        )
+    return s
 
 
 def level_count(g: GroupDescriptor, n: int) -> int:

@@ -317,6 +317,17 @@ class HeisenbergGeometry:
         small boxes inside large balls stay resolved.  A row whose footprint
         is empty, or whose t-range misses the reach of |w3| + |sigma| over
         the footprint, is 0 without the grid.
+
+        Consecutive kept rows with equal y1, y2 and footprint form a column;
+        a y-mesh in ``indexing="ij"`` order has y3 innermost, so its columns
+        are long runs.  Shared per column, and computed once for it: the grid
+        W1, W2, the ball section csec over it, the shear sigma, the area
+        factor, and the column's t-reach from min(sigma - csec) to
+        max(sigma + csec).  Per row: the clip of the column's sections to the
+        row's t-range [t_lo, t_hi) and the sum over the grid; a row whose
+        t-range misses its column's t-reach is 0.  Each value comes from the
+        same operations as on a column of one row, so rows given in any
+        order give the same bits.
         """
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         w1lo = np.maximum(lo[..., 0] - ys[:, 0], -r)
@@ -335,21 +346,50 @@ class HeisenbergGeometry:
             (w1lo < w1hi) & (w2lo < w2hi) & (t_hi + reach > 0.0) & (t_lo - reach < 0.0)
         )
         out = np.zeros(len(ys))
+        # a kept row starts a column unless it repeats the previous row's key
+        key = np.stack([ys[keep, 0], ys[keep, 1], w1lo[keep], w1hi[keep], w2lo[keep], w2hi[keep]])
+        starts = np.ones(len(keep), dtype=bool)
+        starts[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+        heads = np.flatnonzero(starts)
         offs = (np.arange(nw) + 0.5) / nw
-        for b in range(0, len(keep), 128):  # small blocks: temporaries reused, not paged in anew
-            k = keep[b : b + 128]
-            y, L1, L2 = ys[k], w1hi[k] - w1lo[k], w2hi[k] - w2lo[k]
-            W1 = w1lo[k][:, None] + L1[:, None] * offs[None, :]  # (ny, nw)
-            W2 = w2lo[k][:, None] + L2[:, None] * offs[None, :]
+        # blocks of 128 columns, then of 128 rows: temporaries reused, not paged in anew
+        for cb in range(0, len(heads), 128):
+            first = heads[cb]
+            stop = heads[cb + 128] if cb + 128 < len(heads) else len(keep)
+            c = keep[heads[cb : cb + 128]]  # the first row of each column
+            y, L1, L2 = ys[c], w1hi[c] - w1lo[c], w2hi[c] - w2lo[c]
+            W1 = w1lo[c][:, None] + L1[:, None] * offs[None, :]  # (ncol, nw)
+            W2 = w2lo[c][:, None] + L2[:, None] * offs[None, :]
             s = W1[:, :, None] ** 2 + W2[:, None, :] ** 2
             csec = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
             sigma = 0.5 * (
                 y[:, 0, None, None] * W2[:, None, :] - y[:, 1, None, None] * W1[:, :, None]
             )
-            top = np.minimum(t_hi[k][:, None, None] - sigma, csec)
-            bot = np.maximum(t_lo[k][:, None, None] - sigma, -csec)
-            ell = np.maximum(top - bot, 0.0)
-            out[k] = self.measure_scale * (L1 * L2 / (nw * nw)) * ell.sum(axis=(1, 2))
+            area = L1 * L2 / (nw * nw)
+            rows, col = keep[first:stop], np.cumsum(starts[first:stop]) - 1
+            spread = len(rows) > len(c)  # some column has several rows
+            if spread:
+                # skip a row whose t-range ends at or below every sigma - csec
+                # of its column, or starts at or above every sigma + csec:
+                # there top <= bot at every point.  The margin covers the
+                # rounding of t - sigma, as |sigma| + csec <= reach.
+                low = (sigma - csec).min(axis=(1, 2))[col]
+                high = (sigma + csec).max(axis=(1, 2))[col]
+                m = 1e-9 * reach[rows] + np.finfo(float).tiny
+                skip = (t_hi[rows] + m <= low) | (t_lo[rows] - m >= high)
+                sel = np.flatnonzero(~skip)
+                rows, col = rows[sel], col[sel]
+            for b in range(0, len(rows), 128):
+                k = rows[b : b + 128]
+                if spread:
+                    j = col[b : b + 128]
+                    cs, sg, ar = csec[j], sigma[j], area[j]
+                else:  # one row per column
+                    cs, sg, ar = csec, sigma, area
+                top = np.minimum(t_hi[k][:, None, None] - sg, cs)
+                bot = np.maximum(t_lo[k][:, None, None] - sg, -cs)
+                ell = np.maximum(top - bot, 0.0)
+                out[k] = self.measure_scale * ar * ell.sum(axis=(1, 2))
         return out
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,19 @@ def test_diagonal_identity_all_groups(g):
             assert partition_norm(f, part, p, p) == pytest.approx(
                 lebesgue_norm(f, p), rel=1e-11
             )
+
+
+def test_partition_norm_sums_cells_without_rounding_drift():
+    """One lattice cell of mass 1/2, then 8192 cells of 2^-55 each: a plain
+    running sum rounds every small term away (they are below half an ulp of
+    1/2) and misses by 4.5e-13 relative; the exact sum 1/2 + 2^-42 is a float."""
+    h, n = 2.0**-10, 8192
+    f = line_fn((0.0, 1.0, 1.0), *((1.0 + k * h, 1.0 + (k + 1) * h, 2.0**-44) for k in range(n)))
+    part = build_pi_r(REAL_LINE, 2.0 * h, ((0.0, 9.0),))  # lattice step h
+    exact = Fraction(1, 2) + n * Fraction(2) ** -55
+    assert abs(Fraction(sum([0.5] + [2.0**-55] * n)) - exact) / exact > 1e-13
+    got = partition_norm(f, part, 1.0, 1.0)
+    assert abs(Fraction(got) - exact) / exact <= 1e-15
 
 
 def test_partition_norm_window_guard():

@@ -113,6 +113,16 @@ def test_counterexample_out_of_float_range_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_counterexample_overflowing_separation_is_a_usage_error(capsys):
+    # alpha - q = 1e-7 puts 2**2e7 in the level-1 separation bound
+    code = main(["counterexample", "--q", "1", "--alpha", "1.0000001", "--p", "4", "--levels", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: sparse union leaves the float range at level 1")
+
+
 def test_usage_errors(capsys, spec_path, tmp_path):
     # missing required flag
     assert main(["norm", "--form", "partition", "--p", "2", "--r", "1",

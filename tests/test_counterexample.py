@@ -67,6 +67,20 @@ def test_build_names_the_float_range():
     assert spec.levels == 6
 
 
+@pytest.mark.parametrize(
+    "alpha, n",
+    [
+        (1.0000001, 1),  # 2**2e7 raises OverflowError
+        (1.0 + 2.0 / 1023.5, 1),  # 2**1023.5 is a float, 4 * 2**1023.5 is not
+    ],
+)
+def test_separation_bound_names_the_float_range(alpha, n):
+    with pytest.raises(ValueError, match=f"float range at level {n}: the separation bound"):
+        separation_bound(REAL_LINE, 1.0, alpha, n)
+    with pytest.raises(ValueError, match="float range"):
+        build_sparse_union(REAL_LINE, 1.0, alpha, 8)
+
+
 def test_separations_hold_to_depth_eight():
     spec, f = build_sparse_union(REAL_LINE, 1.0, 2.0, 8)
     assert sum(spec.counts) == sum(2 ** (n + 1) + 1 for n in range(1, 9))

@@ -118,6 +118,117 @@ def test_ball_box_filter_is_bit_identical_per_row_boxes(nw, seed):
     assert np.array_equal(got, ref)
 
 
+def _mesh_rows(r, lo, hi, n1, n2, n3):
+    """Rows of an n1 x n2 x n3 y-mesh around the box [lo, hi), in meshgrid
+    order (y3 innermost) as the ball norm builds them: each (y1, y2) is a
+    column of n3 consecutive rows.  y3 spans the box's t-range padded by
+    r^2/4, so that a column near y1 = y2 = 0 meets the box on all but its
+    end rows."""
+    y1 = np.linspace(lo[0] - r, hi[0] + r, n1)
+    y2 = np.linspace(lo[1] - r, hi[1] + r, n2)
+    y3 = np.linspace(lo[2] - r * r / 4.0, hi[2] + r * r / 4.0, n3)
+    return np.stack([Y.ravel() for Y in np.meshgrid(y1, y2, y3, indexing="ij")], axis=1)
+
+
+# a box narrower than the ball, and one wider in w1 and w2: over the wide
+# box's middle the footprint is [-r, r]^2 for every (y1, y2), so only y1 and
+# y2 tell those columns apart
+COLUMN_BOXES = [
+    ((-0.4, -0.3, -0.2), (0.5, 0.2, 0.1)),
+    ((-1.5, -1.5, -0.2), (1.5, 1.5, 0.3)),
+]
+# (nw, n1, n2): at nw = 8, more than 128 columns, so that they fill more
+# than one block of columns; at nw = 48 fewer, to keep the reference cheap
+COLUMN_MESHES = [(8, 15, 13), (48, 5, 4)]
+
+
+@pytest.mark.parametrize("nw, n1, n2", COLUMN_MESHES)
+@pytest.mark.parametrize("box", range(len(COLUMN_BOXES)))
+def test_ball_box_columns_are_bit_identical_mesh_order(nw, n1, n2, box):
+    """Columns of 140 rows: a kept run crosses a block of 128 rows."""
+    r = 0.75
+    lo, hi = (np.array(b) for b in COLUMN_BOXES[box])
+    ys = _mesh_rows(r, lo, hi, n1, n2, 140)
+    ref = _ball_box_unfiltered(ys, r, lo, hi, nw)
+    got = GEO.ball_box_measure(ys, r, lo, hi, nw)
+    nonzero = ref.reshape(n1 * n2, 140) > 0.0
+    assert nonzero.sum(axis=1).max() > 128 and np.count_nonzero(ref == 0.0) > 100
+    if n1 * n2 > 128:
+        assert nonzero.any(axis=1).sum() > 128
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("nw, n1, n2", COLUMN_MESHES)
+def test_ball_box_columns_are_bit_identical_repeated_boxes(nw, n1, n2):
+    """Per-row boxes in runs of 40 rows, cycling through a box, the same box
+    at another t-range (same footprint: the column goes on) and the box
+    widened in w1 and w2 (a new footprint: a new column at the same y1, y2)."""
+    r = 0.75
+    lo0, hi0 = (np.array(b) for b in COLUMN_BOXES[0])
+    ys = _mesh_rows(r, lo0, hi0, n1, n2, 140)
+    shift = np.array([0.0, 0.0, 0.15])
+    widen = np.array([0.3, 0.2, 0.0])
+    los = np.stack([lo0, lo0 + shift, lo0 - widen])
+    his = np.stack([hi0, hi0 + shift, hi0 + widen])
+    which = (np.arange(len(ys)) // 40) % 3
+    lo, hi = los[which], his[which]
+    ref = _ball_box_unfiltered(ys, r, lo, hi, nw)
+    got = GEO.ball_box_measure(ys, r, lo, hi, nw)
+    assert np.count_nonzero(ref) > len(ys) // 2 and np.count_nonzero(ref == 0.0) > 100
+    assert np.array_equal(got, ref)
+
+
+def _column_reach(y1, y2, r, lo, hi, nw):
+    """min(sigma - csec) and max(sigma + csec) over the inner grid of the
+    column (y1, y2) for the box [lo, hi), and the kernel's bound on
+    |sigma| + csec over the footprint."""
+    w1lo, w1hi = max(lo[0] - y1, -r), min(hi[0] - y1, r)
+    w2lo, w2hi = max(lo[1] - y2, -r), min(hi[1] - y2, r)
+    offs = (np.arange(nw) + 0.5) / nw
+    W1 = w1lo + (w1hi - w1lo) * offs
+    W2 = w2lo + (w2hi - w2lo) * offs
+    s = W1[:, None] ** 2 + W2[None, :] ** 2
+    csec = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
+    sigma = 0.5 * (y1 * W2[None, :] - y2 * W1[:, None])
+    reach = r * r / 4.0 + 0.5 * (
+        abs(y1) * max(abs(w2lo), abs(w2hi)) + abs(y2) * max(abs(w1lo), abs(w1hi))
+    )
+    return float((sigma - csec).min()), float((sigma + csec).max()), reach
+
+
+@pytest.mark.parametrize("nw", [8, 48])
+@pytest.mark.parametrize("upper", [True, False], ids=["t_hi-at-low", "t_lo-at-high"])
+def test_ball_box_rows_at_the_column_reach(nw, upper):
+    """Columns of rows whose t-range ends around the lowest sigma - csec of
+    the column's grid (or starts around the highest sigma + csec), from
+    whole ulps to 2e-9 of the footprint's t-reach away: around where a
+    row's value turns nonzero, and around where the kernel stops skipping
+    it (1e-9 of its reach, which is this reach times 1.001).  The box's
+    t-range ends (starts) at 0, so t_hi = -y3 (t_lo = -y3) exactly."""
+    r = 0.75
+    lo = np.array([-0.4, -0.3, -0.5 if upper else 0.0])
+    hi = np.array([0.5, 0.2, 0.0 if upper else 0.5])
+    ys = []
+    for y1 in np.linspace(lo[0] - 0.9 * r, hi[0] + 0.9 * r, 7):
+        for y2 in np.linspace(lo[1] - 0.9 * r, hi[1] + 0.9 * r, 5):
+            low, high, reach = _column_reach(y1, y2, r, lo, hi, nw)
+            edge = low if upper else high
+            ts = [edge]
+            for d in (1e-12, 0.5e-9, 1e-9, 1.0005e-9, 1.0015e-9, 2e-9):
+                ts += [edge - d * reach, edge + d * reach]
+            for direction in (-np.inf, np.inf):  # whole ulps on both sides
+                t = edge
+                for _ in range(4):
+                    t = np.nextafter(t, direction)
+                    ts.append(t)
+            ys.extend((y1, y2, -t) for t in ts)
+    ys = np.array(ys)
+    ref = _ball_box_unfiltered(ys, r, lo, hi, nw)
+    got = GEO.ball_box_measure(ys, r, lo, hi, nw)
+    assert np.count_nonzero(ref) > 100 and np.count_nonzero(ref == 0.0) > 100
+    assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize(
     "y, lo, hi, length",
     [
