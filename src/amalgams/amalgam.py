@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupDescriptor, Point
+from .groups import BLOCK_PIECES, GroupDescriptor, Point
 from .partitions import UniformPartition
 from .simplefn import SimpleFunction, _check_exponent, _times_pow2, _unit_exponent
 
@@ -64,21 +64,25 @@ def partition_norm(
     if f.is_zero():
         return 0.0
     e = _unit_exponent(f.max_value, q, p)
+    acc: dict[tuple, float] = {}
     if math.isinf(q):
-        per_cell: dict[tuple, float] = {}
         for c in f.cells:
             v = math.ldexp(c.value, -e)
             for idx, m in part.intersections_with_box(c.lo, c.hi):
                 if m > 0.0:
-                    per_cell[idx] = max(per_cell.get(idx, 0.0), v)
-        locals_q = list(per_cell.values())
+                    acc[idx] = max(acc.get(idx, 0.0), v)
     else:
-        acc: dict[tuple, float] = {}
         for c in f.cells:
             vq = math.ldexp(c.value, -e) ** q
             for idx, m in part.intersections_with_box(c.lo, c.hi):
                 acc[idx] = acc.get(idx, 0.0) + vq * m
-        locals_q = [a ** (1.0 / q) for a in acc.values()]
+    return _cells_norm(list(acc.values()), q, p, e)
+
+
+def _cells_norm(acc: list[float], q: float, p: float, e: int) -> float:
+    """The ell^p norm over cells from each cell's sum of v^q lambda (its max
+    v at q = inf), for values scaled by 2**-e."""
+    locals_q = acc if math.isinf(q) else [a ** (1.0 / q) for a in acc]
     if math.isinf(p):
         return _times_pow2(max(locals_q, default=0.0), e)
     return _times_pow2(math.fsum(v**p for v in locals_q) ** (1.0 / p), e)
@@ -115,6 +119,20 @@ def conv_q_indicator(
 # -- ball norm ---------------------------------------------------------------
 
 
+def _check_ball_args(
+    f: SimpleFunction, g: GroupDescriptor, r: float, q: float, p: float, mesh: float | None
+) -> tuple[float, float]:
+    q = _check_exponent(q)
+    p = _check_exponent(p)
+    if not 0 < r < math.inf:
+        raise ValueError("ball radius must be positive and finite")
+    if mesh is not None and not 0 < mesh < math.inf:
+        raise ValueError("mesh must be positive and finite")
+    if f.group.name != g.name:
+        raise ValueError("function group does not match the requested group")
+    return q, p
+
+
 def ball_norm(
     f: SimpleFunction,
     g: GroupDescriptor,
@@ -124,67 +142,97 @@ def ball_norm(
     mesh: float | None = None,
 ) -> float:
     """The y-integral form of the amalgam norm at ball radius r."""
-    q = _check_exponent(q)
-    p = _check_exponent(p)
-    if not 0 < r < math.inf:
-        raise ValueError("ball radius must be positive and finite")
-    if mesh is not None and not 0 < mesh < math.inf:
-        raise ValueError("mesh must be positive and finite")
-    if f.group.name != g.name:
-        raise ValueError("function group does not match the requested group")
+    q, p = _check_ball_args(f, g, r, q, p, mesh)
     if f.is_zero():
         return 0.0
     if g.d == 1:  # the y-integrand is piecewise linear: exact sweep
-        return _ball_norm_line(f, r, q, p)
+        return _ball_norm_line(f, [r], q, p)[0]
     return _ball_norm_quadrature(f, g, r, q, p, mesh if mesh is not None else r / 3.0)
 
 
-def _ball_norm_line(f: SimpleFunction, r: float, q: float, p: float) -> float:
+def ball_norms(
+    f: SimpleFunction,
+    g: GroupDescriptor,
+    radii: list[float],
+    q: float,
+    p: float,
+    mesh: float | None = None,
+) -> list[float]:
+    """``ball_norm`` at every radius of radii; on the line one sweep
+    serves them all, bit-identical to the single-radius calls."""
+    if g.d != 1:
+        return [ball_norm(f, g, r, q, p, mesh) for r in radii]
+    for r in radii:
+        q, p = _check_ball_args(f, g, r, q, p, mesh)
+    if f.is_zero():
+        return [0.0] * len(radii)
+    return _ball_norm_line(f, radii, q, p)
+
+
+def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -> list[float]:
     cells = f.cells
-    scale = f.group.measure_scale
     e = _unit_exponent(f.max_value, q, p)
     if math.isinf(q):
-        # ||f chi_{yB}||_inf is a step function of y with jumps at a-r, b+r
-        knots = sorted({c.lo[0] - r for c in cells} | {c.hi[0] + r for c in cells})
         if math.isinf(p):
-            return max(c.value for c in cells)
-        total = 0.0
-        for y0, y1 in zip(knots[:-1], knots[1:]):
-            ym = 0.5 * (y0 + y1)
-            v = max(
-                (c.value for c in cells if c.lo[0] - r < ym < c.hi[0] + r),
-                default=0.0,
-            )
-            total += math.ldexp(v, -e) ** p * (y1 - y0) * scale
-        return _times_pow2(total ** (1.0 / p), e)
-
+            return [max(c.value for c in cells)] * len(radii)
+        return [_sup_ball_norm_line(f, r, p, e) for r in radii]
+    scale = f.group.measure_scale
+    lo = np.array([c.lo[0] for c in cells])
+    hi = np.array([c.hi[0] for c in cells])
+    w = np.array([math.ldexp(c.value, -e) ** q * scale for c in cells])
     # phi(y) = sum_i v_i^q lambda([a_i, b_i) ^ (y-r, y+r)) is piecewise
     # linear; each cell contributes slope +w on [a-r, a-r+W) and -w on
-    # [b+r-W, b+r) with W = min(b-a, 2r).  Sweep the slope events.
-    events: dict[float, float] = {}
-    for c in cells:
-        w = math.ldexp(c.value, -e) ** q * scale
-        a, b = c.lo[0], c.hi[0]
-        width = min(b - a, 2.0 * r)
-        for y0, dw in ((a - r, w), (a - r + width, -w), (b + r - width, -w), (b + r, w)):
-            events[y0] = events.get(y0, 0.0) + dw
-    knots = sorted(events)
-    values = []
-    phi_val, slope = 0.0, 0.0
-    prev = knots[0]
-    for y0 in knots:
-        phi_val += slope * (y0 - prev)
-        slope += events[y0]
-        values.append(max(phi_val, 0.0))
-        prev = y0
-    if math.isinf(p):
-        return _times_pow2(max(values) ** (1.0 / q), e)
-    s = p / q
+    # [b+r-W, b+r) with W = min(b-a, 2r).  Each row of the event arrays
+    # holds one radius' events, cell by cell; a stable sort puts equal
+    # knots together in that order, so the slope merged at a knot, its
+    # running sum and phi are the same sums, in the same order, as a
+    # sweep over the knots.
+    dw = np.stack([w, -w, -w, w], axis=1).ravel()
+    norms = []
+    per_block = max(1, BLOCK_PIECES // dw.size)
+    for b0 in range(0, len(radii), per_block):
+        r = np.array(radii[b0 : b0 + per_block])[:, None]
+        width = np.minimum(hi - lo, 2.0 * r)
+        start, end = lo - r, hi + r
+        y = np.stack([start, start + width, end - width, end], axis=2).reshape(len(r), -1)
+        order = np.argsort(y, axis=1, kind="stable")
+        y = np.take_along_axis(y, order, axis=1)
+        head = np.ones(y.shape, dtype=bool)
+        head[:, 1:] = y[:, 1:] != y[:, :-1]
+        # the merged slope of each run of equal knots sits at its head
+        merged = np.zeros(y.shape)
+        merged[head] = np.bincount(np.cumsum(head) - 1, weights=dw[order].ravel())
+        slope = np.cumsum(merged, axis=1)
+        rise = np.zeros(y.shape)
+        rise[:, 1:] = slope[:, :-1] * (y[:, 1:] - y[:, :-1])
+        values = np.maximum(np.cumsum(rise, axis=1), 0.0)
+        if math.isinf(p):
+            norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]
+            continue
+        for knots, phi in zip(y.tolist(), values.tolist()):
+            total = 0.0
+            for y0, y1, f0, f1 in zip(knots[:-1], knots[1:], phi[:-1], phi[1:]):
+                dy = y1 - y0
+                if dy > 0.0:  # a repeated knot adds nothing
+                    total += _linear_power_integral(f0, f1, dy, p / q) * scale
+            norms.append(_times_pow2(total ** (1.0 / p), e))
+    return norms
+
+
+def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
+    """The ball norm at q = inf: ||f chi_{yB}||_inf is a step function of y
+    with jumps at a-r, b+r."""
+    cells = f.cells
+    scale = f.group.measure_scale
+    knots = sorted({c.lo[0] - r for c in cells} | {c.hi[0] + r for c in cells})
     total = 0.0
-    for y0, y1, f0, f1 in zip(knots[:-1], knots[1:], values[:-1], values[1:]):
-        dy = y1 - y0
-        if dy > 0.0:
-            total += _linear_power_integral(f0, f1, dy, s) * scale
+    for y0, y1 in zip(knots[:-1], knots[1:]):
+        ym = 0.5 * (y0 + y1)
+        v = max(
+            (c.value for c in cells if c.lo[0] - r < ym < c.hi[0] + r),
+            default=0.0,
+        )
+        total += math.ldexp(v, -e) ** p * (y1 - y0) * scale
     return _times_pow2(total ** (1.0 / p), e)
 
 

@@ -3,7 +3,8 @@ and JSON/CSV report persistence.
 
 Exit codes: 0 on success, 1 when the verification suite reports a
 mathematical failure, 2 on usage errors (bad flags, malformed spec
-files, out-of-range exponents).
+files, out-of-range exponents) and on any other error, each reported as
+one ``error:`` line on stderr with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -68,9 +69,13 @@ def parse_window(token: str, d: int) -> tuple[tuple[float, float], ...]:
 def parse_grid(token: str) -> RadiusGrid:
     try:
         rmin, rmax, steps = token.split(":")
-        return RadiusGrid(float(rmin), float(rmax), int(steps))
+        rmin, rmax, steps = float(rmin), float(rmax), int(steps)
     except (ValueError, TypeError):
         raise UsageError(f"bad grid {token!r}; expected rmin:rmax:steps") from None
+    try:
+        return RadiusGrid(rmin, rmax, steps)
+    except ValueError as exc:
+        raise UsageError(f"bad grid {token!r}: {exc}") from None
 
 
 def load_function_spec(path: str) -> SimpleFunction:
@@ -369,12 +374,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, ValueError) as exc:
+        message = str(exc)
+    except Exception as exc:  # anything else is still one line, not a traceback
+        message = f"{type(exc).__name__}: {exc}"
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

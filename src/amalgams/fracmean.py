@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .amalgam import ball_norm, partition_norm
-from .groups import GroupDescriptor
-from .partitions import UniformPartition, build_pi_r, cell_shape
-from .simplefn import SimpleFunction
+import numpy as np
+
+from .amalgam import _cells_norm, ball_norms, partition_norm
+from .groups import Box, BoxGeometry, GroupDescriptor
+from .partitions import UniformPartition, build_pi_r, cell_shape, check_scales
+from .simplefn import SimpleFunction, _check_exponent, _unit_exponent
 
 INF = math.inf
 
@@ -74,6 +76,10 @@ def classify(t: ExponentTriple) -> str:
     return t.classify()
 
 
+# Most radii a RadiusGrid may hold; every grid of the package holds under 100.
+MAX_RADII = 10_000
+
+
 @dataclass(frozen=True)
 class RadiusGrid:
     r_min: float
@@ -85,11 +91,29 @@ class RadiusGrid:
             raise ValueError("need 0 < r_min < r_max < inf")
         if self.steps_per_octave < 1:
             raise ValueError("steps_per_octave must be >= 1")
+        try:
+            n = self._count()
+        except OverflowError:
+            n = INF
+        if not n < MAX_RADII:
+            raise ValueError(
+                f"grid {self.r_min}:{self.r_max}:{self.steps_per_octave} holds more "
+                f"than {MAX_RADII} radii"
+            )
+
+    def _count(self) -> int:
+        """Number of radii below r_max: ceil(steps_per_octave * octaves)."""
+        ratio = self.r_max / self.r_min
+        # past the float range the ratio overflows, but not the difference of logs
+        octaves = math.log2(ratio) if ratio < INF else math.log2(self.r_max) - math.log2(self.r_min)
+        return math.ceil(self.steps_per_octave * octaves)
 
     def radii(self) -> list[float]:
         m = self.steps_per_octave
-        n = math.ceil(m * math.log2(self.r_max / self.r_min))
-        rs = [self.r_min * 2.0 ** (k / m) for k in range(n)]
+        if self.r_max / self.r_min < INF:
+            rs = [self.r_min * 2.0 ** (k / m) for k in range(self._count())]
+        else:  # 2**(k/m) can overflow here, its square root cannot
+            rs = [self.r_min * 2.0 ** (k / m / 2) * 2.0 ** (k / m / 2) for k in range(self._count())]
         rs.append(self.r_max)
         return rs
 
@@ -115,9 +139,9 @@ def default_grid(
     return RadiusGrid(d * 2.0**-half, d * 2.0**half, steps_per_octave)
 
 
-def partition_for(f: SimpleFunction, g: GroupDescriptor, r: float) -> UniformPartition:
-    """Scale-r partition whose window swallows the support of f."""
-    _, steps = cell_shape(g, r)
+def _window(f: SimpleFunction, g: GroupDescriptor, steps: tuple[float, ...]) -> Box:
+    """The bounding box of f, widened to 1.0001 steps on an axis shorter
+    than that."""
     bb = f.bounding_box()
     if bb is None:
         bb = tuple((0.0, 0.0) for _ in range(g.d))
@@ -127,7 +151,59 @@ def partition_for(f: SimpleFunction, g: GroupDescriptor, r: float) -> UniformPar
         if short > 0.0:
             lo, hi = lo - short / 2.0, hi + short / 2.0
         window.append((lo, hi))
-    return build_pi_r(g, r, tuple(window))
+    return tuple(window)
+
+
+def partition_for(f: SimpleFunction, g: GroupDescriptor, r: float) -> UniformPartition:
+    """Scale-r partition whose window swallows the support of f."""
+    _, steps = cell_shape(g, r)
+    return build_pi_r(g, r, _window(f, g, steps))
+
+
+def _partition_norms(
+    f: SimpleFunction, g: GroupDescriptor, radii: list[float], q: float, p: float
+) -> list[float]:
+    """``partition_norm(f, partition_for(f, g, r), q, p)`` for each r of
+    radii, bit for bit.
+
+    On the box groups the pieces of every radius come from one batch,
+    and are summed per (radius, cell) by a stable group-by in the order
+    partition_norm sums them; only the per-cell powers and the sum over
+    cells stay in Python, to keep libm's powers.
+    """
+    if not isinstance(g.geometry, BoxGeometry) or f.group.name != g.name:
+        return [partition_norm(f, partition_for(f, g, r), q, p) for r in radii]
+    steps = [cell_shape(g, r)[1] for r in radii]
+    check_scales(g, radii, steps, [_window(f, g, s) for s in steps])
+    q = _check_exponent(q)
+    p = _check_exponent(p)
+    if f.is_zero():
+        return [0.0] * len(radii)
+    e = _unit_exponent(f.max_value, q, p)
+    cells = f.cells
+    lo = np.array([c.lo for c in cells])
+    hi = np.array([c.hi for c in cells])
+    v = [math.ldexp(c.value, -e) for c in cells]
+    v = np.array(v if math.isinf(q) else [x**q for x in v])
+    norms = [0.0] * len(radii)  # a radius whose lattice meets no cell
+    pieces = g.geometry.partition_pieces(np.array(steps).reshape(len(radii), g.d), lo, hi)
+    for radius, box, idx, m in pieces:
+        if not len(radius):
+            continue
+        order = np.lexsort((*idx.T[::-1], radius))
+        radius, idx = radius[order], idx[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (radius[1:] != radius[:-1]) | np.any(idx[1:] != idx[:-1], axis=1)
+        starts = np.flatnonzero(new)
+        if math.isinf(q):
+            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts)
+        else:
+            local = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
+        owner = radius[starts]
+        cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+        for j, part in zip(owner[np.r_[0, cuts]].tolist(), np.split(local, cuts)):
+            norms[j] = _cells_norm(part.tolist(), q, p, e)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -160,11 +236,9 @@ def fractional_norm_partition(
 ) -> FracNormResult:
     """max over the grid of lambda(B(e,r))^(1/alpha - 1/q) ||f||_{q,p} over pi_r."""
     w = g.rho * (inv(t.alpha) - inv(t.q))
-    vals = []
-    for r in grid.radii():
-        part = partition_for(f, g, r)
-        vals.append((r, r**w * partition_norm(f, part, t.q, t.p)))
-    value, arg, div = _weighted_max(vals, cap)
+    radii = grid.radii()
+    norms = _partition_norms(f, g, radii, t.q, t.p)
+    value, arg, div = _weighted_max([(r, r**w * n) for r, n in zip(radii, norms)], cap)
     return FracNormResult(
         value, arg, t.classify(), "partition", div, t.uses_infinite_q_convention()
     )
@@ -180,10 +254,9 @@ def fractional_norm_ball(
 ) -> FracNormResult:
     """max over the grid of lambda(B)^(1/alpha - 1/q - 1/p) times the ball norm."""
     w = g.rho * (inv(t.alpha) - inv(t.q) - inv(t.p))
-    vals = []
-    for r in grid.radii():
-        vals.append((r, r**w * ball_norm(f, g, r, t.q, t.p, mesh)))
-    value, arg, div = _weighted_max(vals, cap)
+    radii = grid.radii()
+    norms = ball_norms(f, g, radii, t.q, t.p, mesh)
+    value, arg, div = _weighted_max([(r, r**w * n) for r, n in zip(radii, norms)], cap)
     return FracNormResult(
         value, arg, t.classify(), "ball", div, t.uses_infinite_q_convention()
     )
@@ -242,10 +315,8 @@ def divergence_diagnostic(
             r0 = _min_cell_extent(f) / 4.0
             radii = [r0 * 2.0**-k for k in range(points)]
         end = "r->0"
-    vals = []
-    for r in radii:
-        part = partition_for(f, g, r)
-        vals.append(r**w * partition_norm(f, part, t.q, t.p))
+    norms = _partition_norms(f, g, radii, t.q, t.p)
+    vals = [r**w * n for r, n in zip(radii, norms)]
     slope = (math.log(vals[-1]) - math.log(vals[0])) / (
         math.log(radii[-1]) - math.log(radii[0])
     )

@@ -112,6 +112,14 @@ class GroupDescriptor:
         return self.measure_scale * vol
 
 
+# Pieces (or events) a batched evaluation over many radii holds in memory at
+# once; a block always has at least one radius, so one radius may exceed it.
+BLOCK_PIECES = 1 << 12
+# Most pieces one radius may cut boxes into, far below where an int64 count
+# wraps; past it a radius would need gigabytes.
+MAX_PIECES = 1 << 24
+
+
 def _axis_range(lo: float, hi: float, step: float) -> range:
     """Lattice indices k whose cell [k*step, (k+1)*step) meets [lo, hi)."""
     k_min = math.floor(lo / step)
@@ -162,6 +170,70 @@ class BoxGeometry:
                 vol *= max(0.0, min((k + 1) * s, hi[a]) - max(k * s, lo[a]))
             if vol > 0.0:
                 yield idx, scale * vol
+
+    def partition_pieces(
+        self, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The pieces :meth:`intersections` yields for the boxes lo, hi
+        (shape (n, d)) against the lattice of every row of steps (shape
+        (R, d)), as arrays (radius row, box, cell index (m, d), measure).
+
+        Pieces come in (radius, box, itertools.product) order, with the
+        same floating-point expressions, so any sum over them in that
+        order is bit-identical to one over :meth:`intersections`.  They
+        are yielded in blocks of whole radii of about BLOCK_PIECES pieces.
+        A radius of more than MAX_PIECES pieces is a ValueError, raised
+        before any of its pieces is made.
+        """
+        n, d = lo.shape
+        per_block = max(1, BLOCK_PIECES // n)
+        for b0 in range(0, len(steps), per_block):
+            s = steps[b0 : b0 + per_block, None, :]
+            k_min = np.floor(lo / s)
+            # len(_axis_range(lo, hi, s)) per (radius, box, axis); their
+            # products are taken in floats, where they cannot wrap around
+            counts = np.maximum(np.ceil(hi / s) - k_min, 0.0)
+            pieces = counts.prod(axis=2)
+            per_radius = pieces.sum(axis=1)
+            if not np.all(per_radius <= MAX_PIECES):
+                j = int(np.argmin(per_radius <= MAX_PIECES))
+                raise ValueError(
+                    f"lattice step {tuple(s[j, 0].tolist())} cuts the boxes into "
+                    f"{per_radius[j]:.4g} pieces, more than {MAX_PIECES}"
+                )
+            counts, pieces = counts.astype(np.int64), pieces.astype(np.int64)
+            cuts, total = [0], 0
+            for j, m in enumerate(per_radius.astype(np.int64).tolist()):
+                if j > cuts[-1] and total + m > BLOCK_PIECES:
+                    cuts.append(j)
+                    total = 0
+                total += m
+            cuts.append(len(pieces))
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                yield self._pieces(b0 + a, steps, lo, hi, k_min[a:b], counts[a:b], pieces[a:b])
+
+    def _pieces(self, r0, steps, lo, hi, k_min, counts, pieces):
+        n, d = lo.shape
+        cnt = pieces.ravel()
+        pair = np.repeat(np.arange(cnt.size), cnt)
+        # position of each piece within its (radius, box) product, split
+        # into per-axis offsets with the last axis varying fastest
+        off = np.arange(pair.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        k_min, counts = k_min.reshape(-1, d)[pair], counts.reshape(-1, d)[pair]
+        idx = np.empty((pair.size, d))
+        for ax in reversed(range(d)):
+            idx[:, ax] = k_min[:, ax] + off % counts[:, ax]
+            off //= counts[:, ax]
+        radius, box = r0 + pair // n, pair % n
+        s = steps[radius]
+        overlap = np.maximum(
+            0.0, np.minimum((idx + 1.0) * s, hi[box]) - np.maximum(idx * s, lo[box])
+        )
+        vol = overlap[:, 0]
+        for ax in range(1, d):
+            vol = vol * overlap[:, ax]
+        keep = vol > 0.0
+        return radius[keep], box[keep], idx[keep], self.measure_scale * vol[keep]
 
     def translate_box(self, a: Point, r: float) -> Box:
         """Coordinate box containing a.B(e, r); here it is the ball itself."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,29 +95,41 @@ class UniformPartition:
 
 
 def cell_shape(g: GroupDescriptor, r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(half_extents, lattice steps) of the scale-r cells of a group."""
-    half = g.geometry.cell_half_extents(r / (4.0 * g.gamma**2))
-    return half, tuple(2.0 * h for h in half)
+    """(half_extents, lattice steps) of the scale-r cells of a group; a
+    half-extent past the float range is inf, which build_pi_r rejects."""
+    try:
+        half = g.geometry.cell_half_extents(r / (4.0 * g.gamma**2))
+    except OverflowError:
+        half = (math.inf,) * g.d
+    return half, tuple([2.0 * h for h in half])
+
+
+def check_scales(g: GroupDescriptor, radii: Sequence[float], steps, windows) -> None:
+    """Raise build_pi_r's ValueError for the first of radii whose partition
+    it rejects, where steps[i] (from cell_shape) and windows[i] are the
+    lattice steps and the window of radii[i]."""
+    for r, r_steps, window in zip(radii, steps, windows):
+        if not 0 < r < math.inf:
+            raise ValueError("scale r must be positive and finite")
+        if len(window) != g.d or any(a >= b for a, b in window):
+            raise ValueError("window must be a nonempty box matching the group dimension")
+        for (a, b), s in zip(window, r_steps):
+            # past 2**53 steps floor(x / step) no longer gives exact cell indices
+            if s < sys.float_info.min or s == math.inf or (b - a) / s >= 2.0**53:
+                raise ValueError(
+                    f"scale r = {r} out of range: lattice step {s} over axis extent {b - a}"
+                )
+            if b - a < s:
+                raise ValueError(
+                    f"degenerate window: axis extent {b - a} below cell extent {s}"
+                )
 
 
 def build_pi_r(g: GroupDescriptor, r: float, window: Box) -> UniformPartition:
     """Uniform partition at scale r whose enumerated cells cover the window."""
-    if not 0 < r < math.inf:
-        raise ValueError("scale r must be positive and finite")
     window = tuple((float(a), float(b)) for a, b in window)
-    if len(window) != g.d or any(a >= b for a, b in window):
-        raise ValueError("window must be a nonempty box matching the group dimension")
     half, steps = cell_shape(g, r)
-    for (a, b), s in zip(window, steps):
-        # past 2**53 steps floor(x / step) no longer gives exact cell indices
-        if s < sys.float_info.min or (b - a) / s >= 2.0**53:
-            raise ValueError(
-                f"scale r = {r} out of range: lattice step {s} over axis extent {b - a}"
-            )
-        if b - a < s:
-            raise ValueError(
-                f"degenerate window: axis extent {b - a} below cell extent {s}"
-            )
+    check_scales(g, [r], [steps], [window])
     return UniformPartition(
         group=g,
         r=float(r),

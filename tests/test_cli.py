@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from amalgams import cli
 from amalgams.cli import emit_report, main, parse_exponent, parse_grid, parse_window
 from amalgams.verify import InequalityCase, SuiteConfig, error_case, run_suite
 
@@ -121,6 +122,35 @@ def test_counterexample_overflowing_separation_is_a_usage_error(capsys):
     assert out == ""
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: sparse union leaves the float range at level 1")
+
+
+@pytest.mark.parametrize(
+    ("grid", "message"),
+    [
+        # 7974 radii, the first of them below any lattice step build_pi_r takes
+        ("1e-300:1e300:4", "error: scale r = 1e-300 out of range"),
+        ("1e-300:1e300:8", "error: bad grid '1e-300:1e300:8': grid 1e-300:1e+300:8 holds more than"),
+    ],
+)
+def test_fracnorm_unevaluable_grid_is_a_usage_error(capsys, spec_path, grid, message):
+    code = main(["fracnorm", "--q", "1", "--p", "inf", "--alpha", "2", "--grid", grid, "--fn", spec_path])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(message)
+
+
+def test_any_uncaught_error_is_one_error_line(capsys, spec_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler broke\nacross two lines")
+
+    monkeypatch.setattr(cli, "_cmd_norm", broken)
+    code = main(["norm", "--form", "partition", "--q", "1", "--p", "2", "--r", "1", "--fn", spec_path])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: RuntimeError: handler broke across two lines\n"
 
 
 def test_usage_errors(capsys, spec_path, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from amalgams.fracmean import (
     DEGENERATE_HIGH,
     DEGENERATE_LOW,
+    MAX_RADII,
     NONTRIVIAL,
     ExponentTriple,
     RadiusGrid,
@@ -51,6 +52,22 @@ def test_radius_grid():
         RadiusGrid(2.0, 1.0)
     with pytest.raises(ValueError):
         RadiusGrid(1.0, 2.0, 0)
+
+
+def test_radius_grid_caps_its_radius_count():
+    # only the guard runs: no grid past the cap is ever expanded
+    assert len(RadiusGrid(1.0, 2.0, MAX_RADII - 1).radii()) == MAX_RADII
+    for bad in ((1.0, 2.0, MAX_RADII), (1e-300, 1e300, 8), (1.0, 2.0, 10**400)):
+        with pytest.raises(ValueError, match="radii"):
+            RadiusGrid(*bad)
+
+
+def test_radius_grid_past_the_float_ratio():
+    # r_max / r_min overflows: the count comes from the difference of logs
+    rs = RadiusGrid(1e-300, 1e300, 4).radii()
+    assert len(rs) == math.ceil(4 * (math.log2(1e300) - math.log2(1e-300))) + 1
+    assert rs[0] == 1e-300 and rs[-1] == 1e300
+    assert all(0.0 < a < b < INF for a, b in zip(rs, rs[1:]))
 
 
 def test_fractional_diagonal_is_lebesgue():
