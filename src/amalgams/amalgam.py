@@ -13,12 +13,13 @@ is exact because the integrand vanishes outside it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BLOCK_PIECES, GroupDescriptor, Point
+from .groups import BLOCK_PIECES, GroupDescriptor, Point, check_pieces
 from .partitions import UniformPartition
 from .simplefn import SimpleFunction, _check_exponent, _times_pow2, _unit_exponent
 
@@ -55,7 +56,10 @@ def _require_support_in_window(f: SimpleFunction, part: UniformPartition) -> Non
 def partition_norm(
     f: SimpleFunction, part: UniformPartition, q: float, p: float
 ) -> float:
-    """Exact ell^p (over cells) of the local L^q norms of f."""
+    """Exact ell^p (over cells) of the local L^q norms of f.
+
+    A partition that would cut the support into more than MAX_PIECES
+    pieces is refused before any piece is made."""
     q = _check_exponent(q)
     p = _check_exponent(p)
     if f.group.name != part.group.name:
@@ -63,6 +67,7 @@ def partition_norm(
     _require_support_in_window(f, part)
     if f.is_zero():
         return 0.0
+    check_pieces(part.steps, part.group.geometry.piece_bound(part, ((c.lo, c.hi) for c in f.cells)))
     e = _unit_exponent(f.max_value, q, p)
     acc: dict[tuple, float] = {}
     if math.isinf(q):
@@ -221,17 +226,28 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
 
 def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
     """The ball norm at q = inf: ||f chi_{yB}||_inf is a step function of y
-    with jumps at a-r, b+r."""
+    with jumps at a-r, b+r.
+
+    On the segment between two knots it is the largest value of the cells
+    with a - r < ym < b + r, ym the segment's midpoint.  The midpoints
+    never decrease, so one sweep keeps those cells on a max-heap: a cell
+    is pushed once its a - r lies below ym, and dropped from the top once
+    its b + r is at or below ym (it cannot come back)."""
     cells = f.cells
     scale = f.group.measure_scale
-    knots = sorted({c.lo[0] - r for c in cells} | {c.hi[0] + r for c in cells})
+    starts = sorted((c.lo[0] - r, c.value, c.hi[0] + r) for c in cells)
+    knots = sorted({s for s, _, _ in starts} | {end for _, _, end in starts})
+    heap: list[tuple[float, float]] = []
+    nxt = 0
     total = 0.0
     for y0, y1 in zip(knots[:-1], knots[1:]):
         ym = 0.5 * (y0 + y1)
-        v = max(
-            (c.value for c in cells if c.lo[0] - r < ym < c.hi[0] + r),
-            default=0.0,
-        )
+        while nxt < len(starts) and starts[nxt][0] < ym:
+            heapq.heappush(heap, (-starts[nxt][1], starts[nxt][2]))
+            nxt += 1
+        while heap and heap[0][1] <= ym:
+            heapq.heappop(heap)
+        v = -heap[0][0] if heap else 0.0
         total += math.ldexp(v, -e) ** p * (y1 - y0) * scale
     return _times_pow2(total ** (1.0 / p), e)
 

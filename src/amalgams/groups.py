@@ -120,11 +120,43 @@ BLOCK_PIECES = 1 << 12
 MAX_PIECES = 1 << 24
 
 
+# Most cells a partition window may hold: below it every count is an exact
+# float, and the cells can be sampled by index arithmetic.
+MAX_CELLS = 1 << 53
+
+
 def _axis_range(lo: float, hi: float, step: float) -> range:
     """Lattice indices k whose cell [k*step, (k+1)*step) meets [lo, hi)."""
     k_min = math.floor(lo / step)
     k_max = math.ceil(hi / step) - 1
     return range(k_min, k_max + 1)
+
+
+def _box_cells(lo, hi, steps) -> int:
+    """Lattice cells meeting the box [lo, hi)."""
+    return math.prod(len(_axis_range(a, b, s)) for a, b, s in zip(lo, hi, steps))
+
+
+def _lattice_counts(lo, hi, steps) -> tuple[np.ndarray, np.ndarray]:
+    """First index and length of _axis_range(lo, hi, step), elementwise, as
+    floats: products of the lengths cannot wrap around there."""
+    k_min = np.floor(lo / steps)
+    return k_min, np.maximum(np.ceil(hi / steps) - k_min, 0.0)
+
+
+def check_pieces(steps, pieces: float) -> None:
+    """Refuse the lattice of the given steps if it cuts boxes into more than
+    MAX_PIECES pieces; ``pieces`` is their count or an upper bound of it."""
+    if not pieces <= MAX_PIECES:
+        raise ValueError(
+            f"lattice step {tuple(steps)} cuts the boxes into "
+            f"{pieces:.4g} pieces, more than {MAX_PIECES}"
+        )
+
+
+def _check_cells(count: float) -> None:
+    if not count <= MAX_CELLS:
+        raise ValueError(f"the window holds {count:.4g} cells, more than 2**53")
 
 
 class BoxGeometry:
@@ -154,10 +186,29 @@ class BoxGeometry:
         """Cell indices, shape (n, d), of the points xs of shape (n, d)."""
         return np.floor(xs / np.asarray(steps)).astype(np.int64)
 
-    def window_indices(self, part) -> Iterator[Index]:
-        return itertools.product(
-            *(_axis_range(lo, hi, s) for (lo, hi), s in zip(part.window, part.steps))
-        )
+    def window_count(self, part) -> int:
+        """Cells of the partition meeting its window."""
+        count = _box_cells(*zip(*part.window), part.steps)
+        _check_cells(count)
+        return count
+
+    def window_cells(self, part, positions) -> list[Index]:
+        """The window's cells at the given positions of their
+        itertools.product order over the axes (last axis fastest)."""
+        ranges = [_axis_range(lo, hi, s) for (lo, hi), s in zip(part.window, part.steps)]
+        cells = []
+        for pos in positions:
+            idx = []
+            for axis in reversed(ranges):
+                pos, k = divmod(pos, len(axis))
+                idx.append(axis[k])
+            cells.append(tuple(reversed(idx)))
+        return cells
+
+    def piece_bound(self, part, boxes: Iterable[tuple[Point, Point]]) -> int:
+        """Pieces :meth:`intersections` cuts the boxes (lo, hi) into, counted
+        from their index ranges alone (and at most that many are kept)."""
+        return sum(_box_cells(lo, hi, part.steps) for lo, hi in boxes)
 
     def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
         scale = self.measure_scale
@@ -189,18 +240,12 @@ class BoxGeometry:
         per_block = max(1, BLOCK_PIECES // n)
         for b0 in range(0, len(steps), per_block):
             s = steps[b0 : b0 + per_block, None, :]
-            k_min = np.floor(lo / s)
-            # len(_axis_range(lo, hi, s)) per (radius, box, axis); their
-            # products are taken in floats, where they cannot wrap around
-            counts = np.maximum(np.ceil(hi / s) - k_min, 0.0)
+            k_min, counts = _lattice_counts(lo, hi, s)  # per (radius, box, axis)
             pieces = counts.prod(axis=2)
             per_radius = pieces.sum(axis=1)
             if not np.all(per_radius <= MAX_PIECES):
                 j = int(np.argmin(per_radius <= MAX_PIECES))
-                raise ValueError(
-                    f"lattice step {tuple(s[j, 0].tolist())} cuts the boxes into "
-                    f"{per_radius[j]:.4g} pieces, more than {MAX_PIECES}"
-                )
+                check_pieces(s[j, 0].tolist(), per_radius[j])
             counts, pieces = counts.astype(np.int64), pieces.astype(np.int64)
             cuts, total = [0], 0
             for j, m in enumerate(per_radius.astype(np.int64).tolist()):
@@ -235,15 +280,18 @@ class BoxGeometry:
         keep = vol > 0.0
         return radius[keep], box[keep], idx[keep], self.measure_scale * vol[keep]
 
-    def translate_box(self, a: Point, r: float) -> Box:
-        """Coordinate box containing a.B(e, r); here it is the ball itself."""
-        return tuple((c - w, c + w) for c, w in zip(a, self.cell_half_extents(r)))
+    def translate_box(self, a, r: float) -> np.ndarray:
+        """Coordinate box containing a.B(e, r), as (lo, hi) per axis; here it
+        is the ball itself.  a is one point, or an (n, d) array of them
+        with one box each, of shape (n, d, 2)."""
+        w = np.array(self.cell_half_extents(r))
+        a = np.asarray(a, dtype=float)
+        return np.stack([a - w, a + w], axis=-1)
 
-    def count_hits(self, part, a: Point, r: float, box: Box) -> int:
-        count = 1
-        for (lo, hi), s in zip(box, part.steps):
-            count *= len(_axis_range(lo, hi, s))
-        return count
+    def count_hits(self, part, centres: np.ndarray, r: float, boxes: np.ndarray) -> np.ndarray:
+        """Cells meeting each ball centres[n].B(e, r), whose box is boxes[n]."""
+        _, counts = _lattice_counts(boxes[..., 0], boxes[..., 1], np.asarray(part.steps))
+        return counts.prod(axis=1).astype(np.int64)
 
     def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
         """Exact Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys;
@@ -309,19 +357,74 @@ class HeisenbergGeometry:
         k = np.floor((xs[:, 2] - shear) / s3)
         return np.stack([i, j, k], axis=1).astype(np.int64)
 
-    def window_indices(self, part) -> Iterator[Index]:
+    def _window_columns(self, part, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First t-index and cell count of each window column (i, j), for the
+        x-indices i (as floats) and every y-index j in the window, shape
+        (len(i), n_j); the window's cells are the (i, j, k) in that order."""
         w, steps = part.window, part.steps
         u = part.half_extents[0]
-        for i in _axis_range(w[0][0], w[0][1], steps[0]):
-            for j in _axis_range(w[1][0], w[1][1], steps[1]):
-                # t-index range of the cells of column (i, j) meeting the window
-                z1 = (i + 0.5) * steps[0]
-                z2 = (j + 0.5) * steps[1]
-                smax = 0.5 * (abs(z1) + abs(z2)) * u
-                k_min = math.floor((w[2][0] - smax) / steps[2])
-                k_max = math.ceil((w[2][1] + smax) / steps[2]) - 1
-                for k in range(k_min, k_max + 1):
-                    yield (i, j, k)
+        js = _axis_range(w[1][0], w[1][1], steps[1])
+        z1 = (i[:, None] + 0.5) * steps[0]
+        z2 = (np.arange(js.start, js.stop, dtype=float) + 0.5) * steps[1]
+        # t-index range of the cells of column (i, j) meeting the window
+        smax = 0.5 * (np.abs(z1) + np.abs(z2)) * u
+        k_min = np.floor((w[2][0] - smax) / steps[2])
+        return k_min, np.ceil((w[2][1] + smax) / steps[2]) - k_min
+
+    def _window_rows(self, part) -> tuple[range, np.ndarray]:
+        """The window's x-indices and the cell count of each, in blocks of
+        about 2**16 columns; every count below MAX_CELLS is an exact float."""
+        w, steps = part.window, part.steps
+        i_axis = _axis_range(w[0][0], w[0][1], steps[0])
+        nj = len(_axis_range(w[1][0], w[1][1], steps[1]))
+        if len(i_axis) * nj > MAX_PIECES:
+            raise ValueError(
+                f"the window has {len(i_axis) * nj} cell columns, more than {MAX_PIECES}"
+            )
+        i = np.arange(i_axis.start, i_axis.stop, dtype=float)
+        per_block = max(1, (1 << 16) // nj)
+        rows = np.concatenate([
+            self._window_columns(part, i[b : b + per_block])[1].sum(axis=1)
+            for b in range(0, len(i), per_block)
+        ])
+        _check_cells(rows.sum())
+        return i_axis, rows
+
+    def window_count(self, part) -> int:
+        return int(self._window_rows(part)[1].sum())
+
+    def window_cells(self, part, positions) -> list[Index]:
+        i_axis, rows = self._window_rows(part)
+        js = _axis_range(part.window[1][0], part.window[1][1], part.steps[1])
+        ends = np.cumsum(rows)
+        pos = np.asarray(positions, dtype=float)  # exact below MAX_CELLS
+        row = np.searchsorted(ends, pos, side="right")
+        cells: list[Index] = [()] * len(pos)
+        for r in np.unique(row).tolist():
+            at = np.flatnonzero(row == r)
+            k_min, counts = self._window_columns(part, np.array([float(i_axis[r])]))
+            col_ends = np.cumsum(counts[0])
+            off = pos[at] - (ends[r] - rows[r])
+            col = np.searchsorted(col_ends, off, side="right")
+            k = k_min[0, col] + off - (col_ends[col] - counts[0, col])
+            for n, c, kk in zip(at.tolist(), col.tolist(), k.tolist()):
+                cells[n] = (i_axis[r], js[c], int(kk))
+        return cells
+
+    def piece_bound(self, part, boxes: Iterable[tuple[Point, Point]]) -> float:
+        """At least the slabs :meth:`intersections` integrates for the boxes
+        (lo, hi): per box, the columns meeting it times a k-range widened
+        by the largest shear over those columns."""
+        u, _, h3 = part.half_extents
+        s1, s2, s3 = part.steps
+        total = 0.0
+        for lo, hi in boxes:
+            columns = _box_cells(lo[:2], hi[:2], (s1, s2))
+            # a column meeting the box has |z_i| < max(|lo_i|, |hi_i|) + s_i / 2,
+            # and its shear spans at most (|z1| + |z2|) u in t
+            reach = (max(abs(lo[0]), abs(hi[0])) + s1 + max(abs(lo[1]), abs(hi[1])) + s2) * u
+            total += columns * ((hi[2] - lo[2] + 2.0 * h3 + reach) / s3 + 3.0)
+        return total
 
     def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
         u = part.half_extents[0]
@@ -362,23 +465,37 @@ class HeisenbergGeometry:
                     if m > 0.0:
                         yield (i, j, k), m
 
-    def translate_box(self, a: Point, r: float) -> Box:
-        shear = 0.5 * (abs(a[0]) + abs(a[1])) * r
-        t = r * r / 4.0 + shear
-        return ((a[0] - r, a[0] + r), (a[1] - r, a[1] + r), (a[2] - t, a[2] + t))
+    def translate_box(self, a, r: float) -> np.ndarray:
+        """As for boxes; the t-extent grows with the shear at a."""
+        a = np.asarray(a, dtype=float)
+        x, y, t = a[..., 0], a[..., 1], a[..., 2]
+        shear = 0.5 * (np.abs(x) + np.abs(y)) * r
+        h = r * r / 4.0 + shear
+        lo = np.stack([x - r, y - r, t - h], axis=-1)
+        return np.stack([lo, np.stack([x + r, y + r, t + h], axis=-1)], axis=-1)
 
-    def count_hits(self, part, a: Point, r: float, box: Box) -> int:
+    def count_hits(self, part, centres: np.ndarray, r: float, boxes: np.ndarray) -> np.ndarray:
+        """Distinct cells holding the points of a 14^3 grid of ball points
+        translated by each centre; one ball grid serves every centre."""
         n = 14
         hs = np.linspace(-r, r, n)
         ts = np.linspace(-r * r / 4.0, r * r / 4.0, n)
         W1, W2, W3 = np.meshgrid(hs, hs, ts, indexing="ij")
         w = np.stack([W1.ravel(), W2.ravel(), W3.ravel()], axis=1)
         w = w[((w[:, 0] ** 2 + w[:, 1] ** 2) ** 2 + 16.0 * w[:, 2] ** 2) ** 0.25 < r]
-        ys = np.empty_like(w)
-        ys[:, 0] = a[0] + w[:, 0]
-        ys[:, 1] = a[1] + w[:, 1]
-        ys[:, 2] = a[2] + w[:, 2] + 0.5 * (a[0] * w[:, 1] - a[1] * w[:, 0])
-        return len(np.unique(self.locate(part.steps, ys), axis=0))
+        counts = np.zeros(len(centres), dtype=np.int64)
+        if not len(w):
+            return counts
+        # blocks of 16 centres keep the (16, len(w), 3) temporaries small
+        for b in range(0, len(centres), 16):
+            a = centres[b : b + 16, None, :]
+            ys = np.empty((len(a), len(w), 3))
+            ys[..., 0] = a[..., 0] + w[:, 0]
+            ys[..., 1] = a[..., 1] + w[:, 1]
+            ys[..., 2] = a[..., 2] + w[:, 2] + 0.5 * (a[..., 0] * w[:, 1] - a[..., 1] * w[:, 0])
+            idx = self.locate(part.steps, ys.reshape(-1, 3)).reshape(ys.shape)
+            counts[b : b + 16] = _distinct_rows(idx)
+        return counts
 
     def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
         """Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys.
@@ -474,6 +591,26 @@ class HeisenbergGeometry:
             (bb[1][0] - r, bb[1][1] + r, mesh),
             (bb[2][0] - t_pad, bb[2][1] + t_pad, mesh * r / 4.0),
         ]
+
+
+def _distinct_rows(idx: np.ndarray) -> np.ndarray:
+    """Distinct index triples idx[n, :] per n, for idx of shape (N, m, 3).
+
+    Each triple is encoded as one int64 in mixed radix over its offsets
+    from the minimum of its row n; the sorted codes of a row change once
+    per new triple.  Where the radix would pass the int64 range, each axis
+    is first replaced by its ranks among the block's values."""
+    rel = idx - idx.min(axis=1, keepdims=True)
+    span = rel.max(axis=(0, 1)) + 1
+    if math.prod(span.tolist()) >= 1 << 63:
+        rel = np.stack(
+            [np.unique(rel[..., a], return_inverse=True)[1].reshape(rel.shape[:2]) for a in range(3)],
+            axis=-1,
+        )
+        span = rel.max(axis=(0, 1)) + 1
+    key = (rel[..., 0] * span[1] + rel[..., 1]) * span[2] + rel[..., 2]
+    key.sort(axis=1)
+    return 1 + np.count_nonzero(key[:, 1:] != key[:, :-1], axis=1)
 
 
 def _overlap(lo1, hi1, lo2, hi2):

@@ -74,13 +74,17 @@ class UniformPartition:
         idx = self.group.geometry.locate(self.steps, np.array([x], dtype=float))[0]
         return tuple(int(k) for k in idx)
 
-    # -- enumeration ------------------------------------------------------
-
-    def indices_in_window(self) -> Iterator[Index]:
-        return self.group.geometry.window_indices(self)
+    # -- window cells, by index arithmetic -------------------------------
 
     def cell_count(self) -> int:
-        return sum(1 for _ in self.indices_in_window())
+        """Cells meeting the window; a ValueError past 2**53 of them."""
+        return self.group.geometry.window_count(self)
+
+    def window_cells(self, positions: Sequence[int]) -> list[Index]:
+        """The window's cells at the given positions of their enumeration
+        order: the box lattice's itertools.product order, and on the
+        Heisenberg group x-index, then y-index, then t-index."""
+        return self.group.geometry.window_cells(self, positions)
 
     # -- exact intersection with coordinate boxes -------------------------
 
@@ -183,10 +187,12 @@ def validate(p: UniformPartition, samples: int = 24, max_cells: int = 200) -> Va
         probes += 1
         if not p.cell_contains(idx, x):
             failures.append(f"locate({x}) -> {idx} does not contain the point")
-    cells = list(p.indices_in_window())
-    if len(cells) > max_cells:
-        sel = rng.choice(len(cells), size=max_cells, replace=False)
-        cells = [cells[int(i)] for i in sorted(sel)]
+    n_cells = p.cell_count()
+    if n_cells > max_cells:
+        sel = sorted(int(i) for i in rng.choice(n_cells, size=max_cells, replace=False))
+    else:
+        sel = range(n_cells)
+    cells = p.window_cells(sel)
     ball = _unit_ball_probes(g, samples)
     u = p.u_radius
     for idx in cells:
@@ -244,8 +250,9 @@ def partition_constants(g: GroupDescriptor) -> tuple[float, float]:
     return 4 * gam**4 + 3 * gam**2, 4 * gam**5 + 3 * gam**3 + 2 * gam**2
 
 
-def count_translate_hits(p: UniformPartition, K_radius: float, a: Point) -> int:
-    """Number of cells meeting a.B(e, K_radius).
+def count_translate_hits(p: UniformPartition, K_radius: float, a) -> int | np.ndarray:
+    """Number of cells meeting a.B(e, K_radius): an int for one point a,
+    and an array of n counts for an (n, d) array of centres a.
 
     Exact by index arithmetic on the abelian instances (balls are
     intervals/boxes there); on the Heisenberg group the count samples a
@@ -255,8 +262,16 @@ def count_translate_hits(p: UniformPartition, K_radius: float, a: Point) -> int:
     if K_radius <= 0:
         raise ValueError("translate radius must be positive")
     g = p.group
-    bb = g.geometry.translate_box(a, K_radius)
-    for (blo, bhi), (wlo, whi) in zip(bb, p.window):
-        if blo < wlo or bhi > whi:
-            raise ValueError("translate escapes the partition window")
-    return g.geometry.count_hits(p, a, K_radius, bb)
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != g.d:
+        raise ValueError(f"{g.name}: translate centres need {g.d} coordinates")
+    centres = a.reshape(-1, g.d)
+    boxes = g.geometry.translate_box(centres, K_radius)
+    window = np.array(p.window)
+    # written so that a NaN coordinate escapes too
+    inside = (boxes[..., 0] >= window[:, 0]) & (boxes[..., 1] <= window[:, 1])
+    if not inside.all():
+        bad = int(np.argmin(inside.all(axis=1)))
+        raise ValueError(f"translate escapes the partition window at {tuple(centres[bad].tolist())}")
+    counts = g.geometry.count_hits(p, centres, K_radius, boxes)
+    return int(counts[0]) if a.ndim == 1 else counts

@@ -735,11 +735,9 @@ def check_translate_counting(cfg: SuiteConfig) -> list[InequalityCase]:
         window = tuple((-3.0 * ext, 3.0 * ext) for _ in range(g.d))
         part = build_pi_r(g, r, window)
         bound = n_pi_bound(g, part.u_radius, r / (2.0 * g.gamma), r)
-        samples = []
-        for _ in range(cfg.n_translates):
-            a = tuple(rng.uniform(-ext, ext, size=g.d))
-            count = count_translate_hits(part, r, a)
-            samples.append((float(count), bound))
+        centres = rng.uniform(-ext, ext, size=(cfg.n_translates, g.d))
+        counts = count_translate_hits(part, r, centres)
+        samples = [(float(count), bound) for count in counts.tolist()]
         cases.append(
             one_sided_case(
                 f"translate-counting-{g.name}",

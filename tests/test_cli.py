@@ -141,6 +141,30 @@ def test_fracnorm_unevaluable_grid_is_a_usage_error(capsys, spec_path, grid, mes
     assert err.startswith(message)
 
 
+def test_partition_norm_of_too_many_pieces_is_a_usage_error(capsys, tmp_path):
+    # the aniso-plane's unit square at r = 1e-4: about 1.6e13 partition pieces
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(
+        {"group": "aniso-plane", "cells": [{"lo": [0.0, 0.0], "hi": [1.0, 1.0], "value": 1.0}]}
+    ))
+    code = main(["norm", "--form", "partition", "--q", "1", "--p", "1", "--r", "1e-4", "--fn", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: lattice step (5e-05, 1.25e-09) cuts the boxes into 1.6e+13 pieces")
+
+
+def test_partition_info_counts_a_large_window_without_enumerating(capsys):
+    code, payload = _run(
+        capsys,
+        ["partition-info", "--group", "heisenberg", "--r", "0.05", "--window=-20:20,-20:20,-5:5"],
+    )
+    assert code == 0
+    assert payload["cell_count"] == 335_872_000_000
+    assert payload["validation"]["ok"] is True
+    assert payload["validation"]["cells_checked"] == 200
+
+
 def test_any_uncaught_error_is_one_error_line(capsys, spec_path, monkeypatch):
     def broken(args):
         raise RuntimeError("handler broke\nacross two lines")
