@@ -2,13 +2,15 @@
 integral of |f|^q.
 
 The partition form sums exact cell intersections and is closed-form on
-every instance.  The ball form integrates y -> ||f.chi_{yB}||_q over the
-group: on the real line the integrand is piecewise linear in y, so the
-norm is computed exactly by breakpoint decomposition; on the other
-instances a midpoint mesh in y (with an exact or semi-exact overlap per
-mesh point) is used and the mesh is reported alongside the value.  The
-y-domain is always clipped to the inflated support neighbourhood, which
-is exact because the integrand vanishes outside it.
+every instance: one accumulator (:func:`_partition_sums`) sums per cell
+the pieces the group's ``partition_pieces`` cuts for one or many radii.
+The ball form integrates y -> ||f.chi_{yB}||_q over the group: on the
+real line the integrand is piecewise linear in y, so the norm is
+computed exactly by breakpoint decomposition; on the other instances a
+midpoint mesh in y (with an exact or semi-exact overlap per mesh point)
+is used and the mesh is reported alongside the value.  The y-domain is
+always clipped to the inflated support neighbourhood, which is exact
+because the integrand vanishes outside it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BLOCK_PIECES, GroupDescriptor, Point, check_pieces
+from .groups import BLOCK_PIECES, MAX_PIECES, GroupDescriptor, Point
 from .partitions import UniformPartition
 from .simplefn import SimpleFunction, _check_exponent, _times_pow2, _unit_exponent
 
@@ -56,10 +58,8 @@ def _require_support_in_window(f: SimpleFunction, part: UniformPartition) -> Non
 def partition_norm(
     f: SimpleFunction, part: UniformPartition, q: float, p: float
 ) -> float:
-    """Exact ell^p (over cells) of the local L^q norms of f.
-
-    A partition that would cut the support into more than MAX_PIECES
-    pieces is refused before any piece is made."""
+    """Exact ell^p (over cells) of the local L^q norms of f; a partition
+    cutting the support into more than MAX_PIECES pieces is refused first."""
     q = _check_exponent(q)
     p = _check_exponent(p)
     if f.group.name != part.group.name:
@@ -67,21 +67,39 @@ def partition_norm(
     _require_support_in_window(f, part)
     if f.is_zero():
         return 0.0
-    check_pieces(part.steps, part.group.geometry.piece_bound(part, ((c.lo, c.hi) for c in f.cells)))
+    return _partition_sums(f, q, p, 1, part.intersections_with_box)[0]
+
+
+def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, pieces_of) -> list[float]:
+    """The partition norms of a nonzero f at radii 0..n-1 from the blocks
+    of whole radii (radius, box, cell index, measure) that ``pieces_of(lo,
+    hi)`` cuts from its cells.  A stable group-by keeps each cell's pieces
+    in stream order, where np.bincount sums them one after another; the
+    per-cell powers and the sum over cells stay in Python (libm's powers,
+    fsum).  A radius without pieces has norm 0."""
     e = _unit_exponent(f.max_value, q, p)
-    acc: dict[tuple, float] = {}
-    if math.isinf(q):
-        for c in f.cells:
-            v = math.ldexp(c.value, -e)
-            for idx, m in part.intersections_with_box(c.lo, c.hi):
-                if m > 0.0:
-                    acc[idx] = max(acc.get(idx, 0.0), v)
-    else:
-        for c in f.cells:
-            vq = math.ldexp(c.value, -e) ** q
-            for idx, m in part.intersections_with_box(c.lo, c.hi):
-                acc[idx] = acc.get(idx, 0.0) + vq * m
-    return _cells_norm(list(acc.values()), q, p, e)
+    lo = np.array([c.lo for c in f.cells])
+    hi = np.array([c.hi for c in f.cells])
+    v = [math.ldexp(c.value, -e) for c in f.cells]
+    v = np.array(v if math.isinf(q) else [x**q for x in v])
+    norms = [0.0] * n
+    for radius, box, idx, m in pieces_of(lo, hi):
+        if not len(radius):
+            continue
+        order = np.lexsort((*idx.T[::-1], radius))
+        radius, idx = radius[order], idx[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (radius[1:] != radius[:-1]) | np.any(idx[1:] != idx[:-1], axis=1)
+        starts = np.flatnonzero(new)
+        if math.isinf(q):
+            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts)
+        else:
+            local = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
+        owner, local = radius[starts], local.tolist()
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [len(local)]):  # the cells of one radius
+            norms[owner[a]] = _cells_norm(local[a:b], q, p, e)
+    return norms
 
 
 def _cells_norm(acc: list[float], q: float, p: float, e: int) -> float:
@@ -268,21 +286,22 @@ def _linear_power_integral(f0: float, f1: float, dy: float, s: float) -> float:
     return dy * (f1 ** (s + 1.0) - f0 ** (s + 1.0)) / ((f1 - f0) * (s + 1.0))
 
 
-def _midpoints(lo: float, hi: float, h: float) -> tuple[np.ndarray, float]:
-    n = max(2, int(math.ceil((hi - lo) / h)))
-    step = (hi - lo) / n
-    return lo + (np.arange(n) + 0.5) * step, step
-
-
 def _ball_norm_quadrature(
     f: SimpleFunction, g: GroupDescriptor, r: float, q: float, p: float, mesh: float
 ) -> float:
-    axes = [
-        _midpoints(lo, hi, h)
-        for lo, hi, h in g.geometry.quadrature_axes(f.bounding_box(), r, mesh)
-    ]
-    grids = np.meshgrid(*(y for y, _ in axes), indexing="ij")
-    ys = np.stack([Y.ravel() for Y in grids], axis=1)
+    try:
+        bounds = g.geometry.quadrature_axes(f.bounding_box(), r, mesh)
+    except OverflowError:  # a ball half-width past the float range
+        bounds = [(-math.inf, math.inf, mesh)] * g.d
+    lo, hi, h = np.array(bounds).T
+    with np.errstate(all="ignore"):  # the y-mesh is counted before it is made
+        n = np.maximum(2.0, np.ceil((hi - lo) / h))
+    if not np.prod(n) <= MAX_PIECES:
+        points = f"{np.prod(n):.4g} y-points, more than {MAX_PIECES}"
+        raise ValueError(f"the ball quadrature at r = {r}, mesh = {mesh} needs {points}")
+    step = (hi - lo) / n  # midpoints of n equal steps per axis
+    axes = [a + (np.arange(k) + 0.5) * s for a, k, s in zip(lo, n.astype(int), step)]
+    ys = np.stack([Y.ravel() for Y in np.meshgrid(*axes, indexing="ij")], axis=1)
     local = np.zeros(len(ys))
     e = _unit_exponent(f.max_value, q, p)
     for c in f.cells:
@@ -297,7 +316,7 @@ def _ball_norm_quadrature(
         local = local ** (1.0 / q)
     if math.isinf(p):
         return _times_pow2(float(local.max()), e)
-    cell = math.prod(h for _, h in axes)
+    cell = math.prod(step.tolist())
     return _times_pow2(float((np.sum(local**p) * cell * g.measure_scale) ** (1.0 / p)), e)
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import _cells_norm, ball_norms, partition_norm
-from .groups import Box, BoxGeometry, GroupDescriptor
+from .amalgam import _partition_sums, ball_norms
+from .groups import Box, GroupDescriptor
 from .partitions import UniformPartition, build_pi_r, cell_shape, check_scales
-from .simplefn import SimpleFunction, _check_exponent, _unit_exponent
+from .simplefn import SimpleFunction, _check_exponent
 
 INF = math.inf
 
@@ -164,46 +164,17 @@ def _partition_norms(
     f: SimpleFunction, g: GroupDescriptor, radii: list[float], q: float, p: float
 ) -> list[float]:
     """``partition_norm(f, partition_for(f, g, r), q, p)`` for each r of
-    radii, bit for bit.
-
-    On the box groups the pieces of every radius come from one batch,
-    and are summed per (radius, cell) by a stable group-by in the order
-    partition_norm sums them; only the per-cell powers and the sum over
-    cells stay in Python, to keep libm's powers.
-    """
-    if not isinstance(g.geometry, BoxGeometry) or f.group.name != g.name:
-        return [partition_norm(f, partition_for(f, g, r), q, p) for r in radii]
+    radii, bit for bit, from one ``partition_pieces`` stream."""
+    if f.group.name != g.name:
+        raise ValueError("function and partition live on different groups")
     steps = [cell_shape(g, r)[1] for r in radii]
     check_scales(g, radii, steps, [_window(f, g, s) for s in steps])
     q = _check_exponent(q)
     p = _check_exponent(p)
     if f.is_zero():
         return [0.0] * len(radii)
-    e = _unit_exponent(f.max_value, q, p)
-    cells = f.cells
-    lo = np.array([c.lo for c in cells])
-    hi = np.array([c.hi for c in cells])
-    v = [math.ldexp(c.value, -e) for c in cells]
-    v = np.array(v if math.isinf(q) else [x**q for x in v])
-    norms = [0.0] * len(radii)  # a radius whose lattice meets no cell
-    pieces = g.geometry.partition_pieces(np.array(steps).reshape(len(radii), g.d), lo, hi)
-    for radius, box, idx, m in pieces:
-        if not len(radius):
-            continue
-        order = np.lexsort((*idx.T[::-1], radius))
-        radius, idx = radius[order], idx[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (radius[1:] != radius[:-1]) | np.any(idx[1:] != idx[:-1], axis=1)
-        starts = np.flatnonzero(new)
-        if math.isinf(q):
-            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts)
-        else:
-            local = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
-        owner = radius[starts]
-        cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-        for j, part in zip(owner[np.r_[0, cuts]].tolist(), np.split(local, cuts)):
-            norms[j] = _cells_norm(part.tolist(), q, p, e)
-    return norms
+    steps = np.array(steps)
+    return _partition_sums(f, q, p, len(radii), lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
 
 
 @dataclass(frozen=True)

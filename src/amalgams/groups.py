@@ -21,7 +21,10 @@ norm and Haar scale, and how the scale-r partition cells (see
 simple functions meet.  :class:`BoxGeometry` serves the abelian
 instances, whose balls and cells are coordinate boxes with half-widths
 r**a_i; :class:`HeisenbergGeometry` serves the sheared cells of the
-Heisenberg group.
+Heisenberg group.  Each has one piece generator, ``partition_pieces``:
+the pieces of many boxes in the cells of many radii, as arrays (radius,
+box, cell index, measure) in blocks of whole radii, after refusing a
+radius of more than MAX_PIECES pieces.
 """
 
 from __future__ import annotations
@@ -205,36 +208,19 @@ class BoxGeometry:
             cells.append(tuple(reversed(idx)))
         return cells
 
-    def piece_bound(self, part, boxes: Iterable[tuple[Point, Point]]) -> int:
-        """Pieces :meth:`intersections` cuts the boxes (lo, hi) into, counted
-        from their index ranges alone (and at most that many are kept)."""
-        return sum(_box_cells(lo, hi, part.steps) for lo, hi in boxes)
-
-    def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
-        scale = self.measure_scale
-        steps = part.steps
-        ranges = [_axis_range(lo[a], hi[a], steps[a]) for a in range(self.g.d)]
-        for idx in itertools.product(*ranges):
-            vol = 1.0
-            for a, k in enumerate(idx):
-                s = steps[a]
-                vol *= max(0.0, min((k + 1) * s, hi[a]) - max(k * s, lo[a]))
-            if vol > 0.0:
-                yield idx, scale * vol
-
     def partition_pieces(
         self, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The pieces :meth:`intersections` yields for the boxes lo, hi
-        (shape (n, d)) against the lattice of every row of steps (shape
-        (R, d)), as arrays (radius row, box, cell index (m, d), measure).
+        """The pieces of positive measure into which the lattice of every
+        row of steps (shape (R, d)) cuts the boxes lo, hi (shape (n, d)),
+        as arrays (radius row, box, cell index (m, d), Haar measure).
 
-        Pieces come in (radius, box, itertools.product) order, with the
-        same floating-point expressions, so any sum over them in that
-        order is bit-identical to one over :meth:`intersections`.  They
-        are yielded in blocks of whole radii of about BLOCK_PIECES pieces.
-        A radius of more than MAX_PIECES pieces is a ValueError, raised
-        before any of its pieces is made.
+        A piece's measure is the product of its per-axis overlaps
+        max(0, min((k + 1) s, hi) - max(k s, lo)).  Pieces come in
+        (radius, box, itertools.product) order, in blocks of whole radii
+        of about BLOCK_PIECES pieces.  A radius of more than MAX_PIECES
+        pieces, counted exactly from the index ranges, is a ValueError,
+        raised before any of its pieces is made.
         """
         n, d = lo.shape
         per_block = max(1, BLOCK_PIECES // n)
@@ -411,14 +397,14 @@ class HeisenbergGeometry:
                 cells[n] = (i_axis[r], js[c], int(kk))
         return cells
 
-    def piece_bound(self, part, boxes: Iterable[tuple[Point, Point]]) -> float:
-        """At least the slabs :meth:`intersections` integrates for the boxes
-        (lo, hi): per box, the columns meeting it times a k-range widened
-        by the largest shear over those columns."""
-        u, _, h3 = part.half_extents
-        s1, s2, s3 = part.steps
+    def piece_bound(self, steps, lo: np.ndarray, hi: np.ndarray) -> float:
+        """At least the slabs :meth:`partition_pieces` makes for the boxes lo, hi
+        (shape (n, 3)) at the given steps: per box, the columns meeting it
+        times a k-range widened by the largest shear over those columns."""
+        s1, s2, s3 = steps
+        u, h3 = s1 / 2.0, s3 / 2.0
         total = 0.0
-        for lo, hi in boxes:
+        for lo, hi in zip(lo.tolist(), hi.tolist()):
             columns = _box_cells(lo[:2], hi[:2], (s1, s2))
             # a column meeting the box has |z_i| < max(|lo_i|, |hi_i|) + s_i / 2,
             # and its shear spans at most (|z1| + |z2|) u in t
@@ -426,14 +412,32 @@ class HeisenbergGeometry:
             total += columns * ((hi[2] - lo[2] + 2.0 * h3 + reach) / s3 + 3.0)
         return total
 
-    def intersections(self, part, lo, hi) -> Iterator[tuple[Index, float]]:
-        u = part.half_extents[0]
-        h3, s3 = part.half_extents[2], part.steps[2]
-        scale = self.measure_scale
-        for i in _axis_range(lo[0], hi[0], part.steps[0]):
-            for j in _axis_range(lo[1], hi[1], part.steps[1]):
-                z1 = (i + 0.5) * part.steps[0]
-                z2 = (j + 0.5) * part.steps[1]
+    def partition_pieces(
+        self, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """As for boxes: the sheared slabs of positive measure, in (radius, box,
+        i, j, k) order, one block per radius.  A radius whose :meth:`piece_bound`
+        passes MAX_PIECES is a ValueError, raised before any slab is made."""
+        for r, s in enumerate(steps.tolist()):
+            check_pieces(s, self.piece_bound(s, lo, hi))
+            columns = list(self._column_slabs(s, lo.tolist(), hi.tolist()))
+            if not columns:
+                continue
+            box, i, j, k, m = zip(*columns)
+            sizes = [len(x) for x in k]
+            k, m = np.concatenate(k), np.concatenate(m)
+            keep = m > 0.0
+            idx = np.column_stack([np.repeat(i, sizes), np.repeat(j, sizes), k])[keep]
+            yield np.full(len(idx), r), np.repeat(box, sizes)[keep], idx, m[keep]
+
+    def _column_slabs(self, steps, boxes_lo, boxes_hi) -> Iterator[tuple]:
+        """(n, i, j, t-indices k, slab measures) per box n and (i, j) column meeting it."""
+        s1, s2, s3 = steps
+        u, h3 = s1 / 2.0, s3 / 2.0  # the cells' half-extents, exactly
+        for n, (lo, hi) in enumerate(zip(boxes_lo, boxes_hi)):
+            for i, j in itertools.product(_axis_range(lo[0], hi[0], s1), _axis_range(lo[1], hi[1], s2)):
+                z1 = (i + 0.5) * s1
+                z2 = (j + 0.5) * s2
                 w1lo = max(-u, lo[0] - z1)
                 w1hi = min(u, hi[0] - z1)
                 w2lo = max(-u, lo[1] - z2)
@@ -447,7 +451,8 @@ class HeisenbergGeometry:
                 b1, b2 = sorted((b * w2lo, b * w2hi))
                 k_min = math.floor((lo[2] - (a2 + b2) - h3) / s3 - 0.5)
                 k_max = math.ceil((hi[2] - (a1 + b1) + h3) / s3 - 0.5)
-                z3 = (np.arange(k_min, k_max + 1) + 0.5) * s3
+                k = np.arange(k_min, k_max + 1)
+                z3 = (k + 0.5) * s3
                 A, B = (lo[2] - z3)[:, None], (hi[2] - z3)[:, None]
                 # slab k: integral over s of the shear density |a b|^-1 *
                 # len([a1, a2] ^ [s - b2, s - b1]) times len([-h3, h3) ^ [A - s, B - s));
@@ -460,10 +465,8 @@ class HeisenbergGeometry:
                 s = np.stack([x0, 0.5 * (x0 + x1), x1])  # (3, nk, 7)
                 fs = _overlap(a1, a2, s - b2, s - b1) * _overlap(-h3, h3, A - s, B - s)
                 ms = ((x1 - x0) * (fs[0] + 4.0 * fs[1] + fs[2]) / 6.0).sum(axis=1)
-                ms *= scale / abs(a * b)
-                for k, m in zip(range(k_min, k_max + 1), ms.tolist()):
-                    if m > 0.0:
-                        yield (i, j, k), m
+                ms *= self.measure_scale / abs(a * b)
+                yield n, i, j, k, ms
 
     def translate_box(self, a, r: float) -> np.ndarray:
         """As for boxes; the t-extent grows with the shear at a."""

@@ -125,6 +125,19 @@ def test_ball_norm_zero_and_guards():
         ball_norm(f, REAL_LINE, 1.0, 1.0, 1.0, mesh=-0.5)
 
 
+def test_ball_quadrature_refuses_a_mesh_it_cannot_hold():
+    cube = simple_function(HEISENBERG, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0)])
+    # 300 x 300 x 2201 y-points, counted before the mesh is made
+    with pytest.raises(ValueError, match=r"needs 1\.981e\+08 y-points, more than 16777216"):
+        ball_norm(cube, HEISENBERG, 1.0, 1.0, 1.0, mesh=0.01)
+    # the shear padding of t overflows: no finite count
+    with pytest.raises(ValueError, match=r"needs nan y-points, more than 16777216"):
+        ball_norm(cube, HEISENBERG, 1e200, 1.0, 1.0)
+    square = simple_function(ANISO_PLANE, [((0.0, 0.0), (1.0, 1.0), 1.0)])
+    with pytest.raises(ValueError, match=r"needs inf y-points"):
+        ball_norm(square, ANISO_PLANE, 1e200, 1.0, 1.0)
+
+
 def test_ball_norm_infinite_q_line():
     f = line_fn((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
     # p = inf: global sup; p finite: integrates the step max-profile

@@ -282,21 +282,17 @@ def test_partition_norm_piece_cap_is_exact_on_box_groups(monkeypatch):
         partition_norm(f, part, 2.0, 3.0)
 
 
-def _pieces(part, f):
-    return sum(1 for c in f.cells for _ in part.intersections_with_box(c.lo, c.hi))
-
-
-@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+# the box groups count their pieces exactly (the cap tests pin it)
+@pytest.mark.parametrize("g", [HEISENBERG], ids=lambda g: g.name)
 def test_piece_bound_holds_every_piece(g):
-    window = ((-2.0, 2.0), (-1.0, 3.0), (-0.5, 0.5))[: g.d]
+    window = ((-2.0, 2.0), (-1.0, 3.0), (-0.5, 0.5))
     for seed in range(6):
         f = gen_random_simple(seed, 1 + seed % 4, window, g)
+        lo = np.array([c.lo for c in f.cells])
+        hi = np.array([c.hi for c in f.cells])
         for r in (0.3, 0.75, 2.0):
             part = partition_for(f, g, r)
-            bound = g.geometry.piece_bound(part, ((c.lo, c.hi) for c in f.cells))
-            pieces = _pieces(part, f)
-            assert pieces <= bound
-            if g.d < 3:  # exact, but for pieces of measure 0
-                assert bound == pieces
-            else:  # the shear allowance is a few slabs per column
-                assert bound <= 4 * pieces + 64
+            bound = g.geometry.piece_bound(part.steps, lo, hi)
+            pieces = sum(len(m) for _, _, _, m in part.intersections_with_box(lo, hi))
+            # the shear allowance is a few slabs per column
+            assert pieces <= bound <= 4 * pieces + 64
