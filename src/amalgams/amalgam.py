@@ -296,27 +296,34 @@ def _ball_norm_quadrature(
     lo, hi, h = np.array(bounds).T
     with np.errstate(all="ignore"):  # the y-mesh is counted before it is made
         n = np.maximum(2.0, np.ceil((hi - lo) / h))
-    if not np.prod(n) <= MAX_PIECES:
-        points = f"{np.prod(n):.4g} y-points, more than {MAX_PIECES}"
-        raise ValueError(f"the ball quadrature at r = {r}, mesh = {mesh} needs {points}")
+        points = np.prod(n)
+    if not points <= MAX_PIECES:
+        raise ValueError(
+            f"the ball quadrature at r = {r}, mesh = {mesh} needs {points:.4g} y-points, "
+            f"more than {MAX_PIECES}"
+        )
     step = (hi - lo) / n  # midpoints of n equal steps per axis
+    cell = math.prod(step.tolist())
+    if not math.isfinite(cell):
+        raise ValueError(
+            f"the ball quadrature at r = {r}, mesh = {mesh} has y-cells of volume "
+            f"{cell:.4g}, past the float range"
+        )
     axes = [a + (np.arange(k) + 0.5) * s for a, k, s in zip(lo, n.astype(int), step)]
-    ys = np.stack([Y.ravel() for Y in np.meshgrid(*axes, indexing="ij")], axis=1)
-    local = np.zeros(len(ys))
+    local = np.zeros(int(points))  # one value per y-point, in meshgrid "ij" order
     e = _unit_exponent(f.max_value, q, p)
     for c in f.cells:
         # 8 x 8 inner (w1, w2) grid on the Heisenberg group
-        overlap = g.geometry.ball_box_measure(ys, r, c.lo, c.hi, 8)
+        ids, overlap = g.geometry.ball_mesh_rows(axes, r, c.lo, c.hi, 8)
         v = math.ldexp(c.value, -e)
         if math.isinf(q):
-            local = np.maximum(local, np.where(overlap > 0.0, v, 0.0))
+            local[ids] = np.maximum(local[ids], np.where(overlap > 0.0, v, 0.0))
         else:
-            local += v**q * overlap
+            local[ids] += v**q * overlap
     if not math.isinf(q):
         local = local ** (1.0 / q)
     if math.isinf(p):
         return _times_pow2(float(local.max()), e)
-    cell = math.prod(step.tolist())
     return _times_pow2(float((np.sum(local**p) * cell * g.measure_scale) ** (1.0 / p)), e)
 
 

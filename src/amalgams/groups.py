@@ -29,7 +29,6 @@ radius of more than MAX_PIECES pieces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -126,6 +125,19 @@ MAX_PIECES = 1 << 24
 # Most cells a partition window may hold: below it every count is an exact
 # float, and the cells can be sampled by index arithmetic.
 MAX_CELLS = 1 << 53
+
+
+def _radius_blocks(per_radius: np.ndarray) -> list[tuple[int, int]]:
+    """Runs [a, b) of whole radii of about BLOCK_PIECES pieces each, from the
+    pieces (or a bound of them) of each radius."""
+    cuts, total = [0], 0.0
+    for j, m in enumerate(per_radius.tolist()):
+        if j > cuts[-1] and total + m > BLOCK_PIECES:
+            cuts.append(j)
+            total = 0.0
+        total += m
+    cuts.append(len(per_radius))
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _axis_range(lo: float, hi: float, step: float) -> range:
@@ -233,14 +245,7 @@ class BoxGeometry:
                 j = int(np.argmin(per_radius <= MAX_PIECES))
                 check_pieces(s[j, 0].tolist(), per_radius[j])
             counts, pieces = counts.astype(np.int64), pieces.astype(np.int64)
-            cuts, total = [0], 0
-            for j, m in enumerate(per_radius.astype(np.int64).tolist()):
-                if j > cuts[-1] and total + m > BLOCK_PIECES:
-                    cuts.append(j)
-                    total = 0
-                total += m
-            cuts.append(len(pieces))
-            for a, b in zip(cuts[:-1], cuts[1:]):
+            for a, b in _radius_blocks(per_radius):
                 yield self._pieces(b0 + a, steps, lo, hi, k_min[a:b], counts[a:b], pieces[a:b])
 
     def _pieces(self, r0, steps, lo, hi, k_min, counts, pieces):
@@ -290,6 +295,20 @@ class BoxGeometry:
                 np.minimum(hi[..., ax], y + w) - np.maximum(lo[..., ax], y - w), 0.0, None
             )
         return vol
+
+    def ball_mesh_rows(self, axes, r: float, lo, hi, nw: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`ball_box_measure` of the box [lo, hi) on the y-mesh with the
+        given axes, in ``indexing="ij"`` order, as the flat ids and values
+        of the rows whose overlap is positive on every axis: the outer
+        product of the per-axis overlaps, multiplied in the same order."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        ids, vol = np.zeros((), dtype=np.int64), np.asarray(self.measure_scale)
+        for y, w, a, b in zip(axes, self.cell_half_extents(r), lo, hi):
+            overlap = np.clip(np.minimum(b, y + w) - np.maximum(a, y - w), 0.0, None)
+            nz = np.flatnonzero(overlap > 0.0)
+            ids = ids[..., None] * len(y) + nz
+            vol = vol[..., None] * overlap[nz]
+        return ids.ravel(), vol.ravel()
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
         """(lo, hi, step) per axis of the y-box outside which y.B(e, r)
@@ -397,76 +416,80 @@ class HeisenbergGeometry:
                 cells[n] = (i_axis[r], js[c], int(kk))
         return cells
 
-    def piece_bound(self, steps, lo: np.ndarray, hi: np.ndarray) -> float:
+    def piece_bound(self, steps, lo: np.ndarray, hi: np.ndarray) -> float | np.ndarray:
         """At least the slabs :meth:`partition_pieces` makes for the boxes lo, hi
-        (shape (n, 3)) at the given steps: per box, the columns meeting it
-        times a k-range widened by the largest shear over those columns."""
-        s1, s2, s3 = steps
+        (shape (n, 3)): per box, the columns meeting it times a k-range
+        widened by the largest shear over those columns.  One float for one
+        steps triple, one per row for steps of shape (R, 3)."""
+        s = np.asarray(steps, dtype=float)[..., None, :]
+        s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2]
         u, h3 = s1 / 2.0, s3 / 2.0
-        total = 0.0
-        for lo, hi in zip(lo.tolist(), hi.tolist()):
-            columns = _box_cells(lo[:2], hi[:2], (s1, s2))
-            # a column meeting the box has |z_i| < max(|lo_i|, |hi_i|) + s_i / 2,
-            # and its shear spans at most (|z1| + |z2|) u in t
-            reach = (max(abs(lo[0]), abs(hi[0])) + s1 + max(abs(lo[1]), abs(hi[1])) + s2) * u
-            total += columns * ((hi[2] - lo[2] + 2.0 * h3 + reach) / s3 + 3.0)
-        return total
+        _, counts = _lattice_counts(lo[:, :2], hi[:, :2], s[..., :2])
+        # a column meeting the box has |z_i| < max(|lo_i|, |hi_i|) + s_i / 2,
+        # and its shear spans at most (|z1| + |z2|) u in t
+        m1 = np.maximum(np.abs(lo[:, 0]), np.abs(hi[:, 0]))
+        m2 = np.maximum(np.abs(lo[:, 1]), np.abs(hi[:, 1]))
+        reach = (m1 + s1 + m2 + s2) * u
+        columns = counts[..., 0] * counts[..., 1]
+        return (columns * ((hi[:, 2] - lo[:, 2] + 2.0 * h3 + reach) / s3 + 3.0)).sum(axis=-1)
 
     def partition_pieces(
         self, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """As for boxes: the sheared slabs of positive measure, in (radius, box,
-        i, j, k) order, one block per radius.  A radius whose :meth:`piece_bound`
-        passes MAX_PIECES is a ValueError, raised before any slab is made."""
-        for r, s in enumerate(steps.tolist()):
-            check_pieces(s, self.piece_bound(s, lo, hi))
-            columns = list(self._column_slabs(s, lo.tolist(), hi.tolist()))
-            if not columns:
-                continue
-            box, i, j, k, m = zip(*columns)
-            sizes = [len(x) for x in k]
-            k, m = np.concatenate(k), np.concatenate(m)
-            keep = m > 0.0
-            idx = np.column_stack([np.repeat(i, sizes), np.repeat(j, sizes), k])[keep]
-            yield np.full(len(idx), r), np.repeat(box, sizes)[keep], idx, m[keep]
+        i, j, k) order, in blocks of whole radii of about BLOCK_PIECES slabs
+        by :meth:`piece_bound`.  A radius whose bound passes MAX_PIECES is a
+        ValueError, raised before any slab is made."""
+        bound = self.piece_bound(steps, lo, hi)
+        if not np.all(bound <= MAX_PIECES):
+            j = int(np.argmin(bound <= MAX_PIECES))
+            check_pieces(steps[j].tolist(), bound[j])
+        for a, b in _radius_blocks(bound):
+            yield self._slabs(a, steps[a:b], lo, hi)
 
-    def _column_slabs(self, steps, boxes_lo, boxes_hi) -> Iterator[tuple]:
-        """(n, i, j, t-indices k, slab measures) per box n and (i, j) column meeting it."""
-        s1, s2, s3 = steps
+    def _slabs(self, r0: int, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+        """The slabs of radii r0, r0 + 1, ... (one row of steps each): every
+        (radius, box) pair's (i, j) columns with a nonempty footprint, each
+        expanded over its k-range, measured in chunks of BLOCK_PIECES slabs."""
+        n = len(lo)
+        k_min, counts = _lattice_counts(lo[:, :2], hi[:, :2], steps[:, None, :2])
+        ni, nj = counts.reshape(-1, 2).astype(np.int64).T
+        cnt = ni * nj
+        pair = np.repeat(np.arange(cnt.size), cnt)
+        # position of each column within its (radius, box) pair, j fastest
+        off = np.arange(pair.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        i = k_min.reshape(-1, 2)[pair, 0] + off // nj[pair]
+        j = k_min.reshape(-1, 2)[pair, 1] + off % nj[pair]
+        radius, box = r0 + pair // n, pair % n
+        s1, s2, s3 = steps[radius - r0].T
         u, h3 = s1 / 2.0, s3 / 2.0  # the cells' half-extents, exactly
-        for n, (lo, hi) in enumerate(zip(boxes_lo, boxes_hi)):
-            for i, j in itertools.product(_axis_range(lo[0], hi[0], s1), _axis_range(lo[1], hi[1], s2)):
-                z1 = (i + 0.5) * s1
-                z2 = (j + 0.5) * s2
-                w1lo = max(-u, lo[0] - z1)
-                w1hi = min(u, hi[0] - z1)
-                w2lo = max(-u, lo[1] - z2)
-                w2hi = min(u, hi[1] - z2)
-                if w1lo >= w1hi or w2lo >= w2hi:
-                    continue
-                # shear offset s(w) = a*w1 + b*w2 over the footprint, with
-                # a*w1 in [a1, a2] and b*w2 in [b1, b2]; a, b != 0 off the axes
-                a, b = -z2 / 2.0, z1 / 2.0
-                a1, a2 = sorted((a * w1lo, a * w1hi))
-                b1, b2 = sorted((b * w2lo, b * w2hi))
-                k_min = math.floor((lo[2] - (a2 + b2) - h3) / s3 - 0.5)
-                k_max = math.ceil((hi[2] - (a1 + b1) + h3) / s3 - 0.5)
-                k = np.arange(k_min, k_max + 1)
-                z3 = (k + 0.5) * s3
-                A, B = (lo[2] - z3)[:, None], (hi[2] - z3)[:, None]
-                # slab k: integral over s of the shear density |a b|^-1 *
-                # len([a1, a2] ^ [s - b2, s - b1]) times len([-h3, h3) ^ [A - s, B - s));
-                # the product is quadratic between the merged knots, where
-                # Simpson's rule is exact
-                corners = np.tile([a1 + b1, a1 + b2, a2 + b1, a2 + b2], (len(z3), 1))
-                knots = np.sort(np.hstack([A - h3, A + h3, B - h3, B + h3, corners]), axis=1)
-                x = np.clip(knots, np.maximum(A - h3, a1 + b1), np.minimum(B + h3, a2 + b2))
-                x0, x1 = x[:, :-1], x[:, 1:]
-                s = np.stack([x0, 0.5 * (x0 + x1), x1])  # (3, nk, 7)
-                fs = _overlap(a1, a2, s - b2, s - b1) * _overlap(-h3, h3, A - s, B - s)
-                ms = ((x1 - x0) * (fs[0] + 4.0 * fs[1] + fs[2]) / 6.0).sum(axis=1)
-                ms *= self.measure_scale / abs(a * b)
-                yield n, i, j, k, ms
+        z1 = (i + 0.5) * s1
+        z2 = (j + 0.5) * s2
+        blo, bhi = lo[box], hi[box]
+        w1lo = np.maximum(-u, blo[:, 0] - z1)
+        w1hi = np.minimum(u, bhi[:, 0] - z1)
+        w2lo = np.maximum(-u, blo[:, 1] - z2)
+        w2hi = np.minimum(u, bhi[:, 1] - z2)
+        # shear offset s(w) = a*w1 + b*w2 over the footprint, with a*w1 in
+        # [a1, a2] and b*w2 in [b1, b2]; a, b != 0 off the axes
+        a, b = -z2 / 2.0, z1 / 2.0
+        aw, bw = (a * w1lo, a * w1hi), (b * w2lo, b * w2hi)
+        a1, a2, b1, b2 = np.minimum(*aw), np.maximum(*aw), np.minimum(*bw), np.maximum(*bw)
+        k0 = np.floor((blo[:, 2] - (a2 + b2) - h3) / s3 - 0.5)
+        k1 = np.ceil((bhi[:, 2] - (a1 + b1) + h3) / s3 - 0.5)
+        nk = np.where((w1lo < w1hi) & (w2lo < w2hi), k1 - k0 + 1.0, 0.0).astype(np.int64)
+        col = np.repeat(np.arange(len(nk)), nk)
+        k = k0[col] + (np.arange(col.size) - np.repeat(np.cumsum(nk) - nk, nk))
+        factor = self.measure_scale / np.abs(a * b)
+        per = (a1, a2, b1, b2, h3, s3, blo[:, 2], bhi[:, 2], factor)
+        ms = np.empty(col.size)
+        for c in range(0, col.size, BLOCK_PIECES):
+            rows = col[c : c + BLOCK_PIECES]
+            ms[c : c + BLOCK_PIECES] = _slab_measures(k[c : c + BLOCK_PIECES], *(x[rows] for x in per))
+        keep = ms > 0.0
+        col = col[keep]
+        idx = np.column_stack([i[col], j[col], k[keep]]).astype(np.int64)
+        return radius[col], box[col], idx, ms[keep]
 
     def translate_box(self, a, r: float) -> np.ndarray:
         """As for boxes; the t-extent grows with the shear at a."""
@@ -510,16 +533,9 @@ class HeisenbergGeometry:
         is empty, or whose t-range misses the reach of |w3| + |sigma| over
         the footprint, is 0 without the grid.
 
-        Consecutive kept rows with equal y1, y2 and footprint form a column;
-        a y-mesh in ``indexing="ij"`` order has y3 innermost, so its columns
-        are long runs.  Shared per column, and computed once for it: the grid
-        W1, W2, the ball section csec over it, the shear sigma, the area
-        factor, and the column's t-reach from min(sigma - csec) to
-        max(sigma + csec).  Per row: the clip of the column's sections to the
-        row's t-range [t_lo, t_hi) and the sum over the grid; a row whose
-        t-range misses its column's t-reach is 0.  Each value comes from the
-        same operations as on a column of one row, so rows given in any
-        order give the same bits.
+        Each kept row is a column of one row of :meth:`_column_sums`; a
+        value comes from the same operations in a longer column, so this
+        gives the bits of :meth:`ball_mesh_rows`.
         """
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         w1lo = np.maximum(lo[..., 0] - ys[:, 0], -r)
@@ -528,60 +544,95 @@ class HeisenbergGeometry:
         w2hi = np.minimum(hi[..., 1] - ys[:, 1], r)
         t_lo = lo[..., 2] - ys[:, 2]
         t_hi = hi[..., 2] - ys[:, 2]
-        # bounds |w3| + |sigma| over the footprint; the slack covers rounding,
-        # so every row it skips has a grid sum of exactly 0
-        reach = 1.001 * (r * r / 4.0 + 0.5 * (
-            np.abs(ys[:, 0]) * np.maximum(np.abs(w2lo), np.abs(w2hi))
-            + np.abs(ys[:, 1]) * np.maximum(np.abs(w1lo), np.abs(w1hi))
-        ))
-        keep = np.flatnonzero(
+        reach = _shear_reach(r, ys[:, 0], ys[:, 1], w1lo, w1hi, w2lo, w2hi)
+        k = np.flatnonzero(  # the kept rows
             (w1lo < w1hi) & (w2lo < w2hi) & (t_hi + reach > 0.0) & (t_lo - reach < 0.0)
         )
+        columns = (ys[k, 0], ys[k, 1], w1lo[k], w1hi[k], w2lo[k], w2hi[k], reach[k])
         out = np.zeros(len(ys))
-        # a kept row starts a column unless it repeats the previous row's key
-        key = np.stack([ys[keep, 0], ys[keep, 1], w1lo[keep], w1hi[keep], w2lo[keep], w2hi[keep]])
-        starts = np.ones(len(keep), dtype=bool)
-        starts[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-        heads = np.flatnonzero(starts)
+        out[k] = self._column_sums(r, nw, columns, np.arange(len(k)), t_lo[k], t_hi[k])
+        return out
+
+    def ball_mesh_rows(self, axes, r: float, lo, hi, nw: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`ball_box_measure` of the box [lo, hi) on the y-mesh with the
+        given axes, in ``indexing="ij"`` order, as the flat ids and values
+        of the rows it keeps; every other row is 0.
+
+        The footprint and the reach are worked out once per (y1, y2) column,
+        with the row kernel's expressions.  Along a column, t_lo and t_hi
+        fall as y3 rises, and rounding keeps the sign of a sum, so the row
+        test t_hi + reach > 0, t_lo - reach < 0 keeps the run of y3 with
+        -t_hi < reach and -t_lo > -reach, which ``searchsorted`` finds
+        exactly."""
+        y1, y2, y3 = axes
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        w1lo, w1hi = np.maximum(lo[0] - y1, -r), np.minimum(hi[0] - y1, r)
+        w2lo, w2hi = np.maximum(lo[1] - y2, -r), np.minimum(hi[1] - y2, r)
+        i1, i2 = np.flatnonzero(w1lo < w1hi), np.flatnonzero(w2lo < w2hi)
+        c1, c2 = np.repeat(i1, len(i2)), np.tile(i2, len(i1))
+        columns = (y1[c1], y2[c2], w1lo[c1], w1hi[c1], w2lo[c2], w2hi[c2])
+        reach = _shear_reach(r, *columns)
+        t_lo, t_hi = lo[2] - y3, hi[2] - y3
+        first = np.searchsorted(-t_lo, -reach, side="right")
+        count = np.maximum(np.searchsorted(-t_hi, reach, side="left") - first, 0)
+        col = np.repeat(np.arange(len(c1)), count)
+        k = first[col] + np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
+        ids = (c1[col] * len(y2) + c2[col]) * len(y3) + k
+        return ids, self._column_sums(r, nw, (*columns, reach), col, t_lo[k], t_hi[k])
+
+    def _column_sums(self, r: float, nw: int, columns, col, t_lo, t_hi) -> np.ndarray:
+        """The ball-box measures of rows (t_lo, t_hi) of the columns (y1, y2,
+        w1lo, w1hi, w2lo, w2hi, reach), row n in column col[n], col sorted.
+
+        Shared per column, and computed once for it: the grid W1, W2, the
+        ball section csec over it, the shear sigma, the area factor, and the
+        column's t-reach from low = min(sigma - csec) to high = max(sigma +
+        csec).  A row whose t-range ends at or below low, or starts at or
+        above high, is 0: there top <= bot at every point.  A row whose
+        t-range holds [low, high] gets the column's full-section sum: there
+        top == csec and bot == -csec at every point.  The margin of both
+        tests covers the rounding of t - sigma, as |sigma| + csec <= reach.
+        The other rows clip the sections to their t-range and sum over the
+        grid, in blocks of 128 rows whose buffers are reused.
+        """
+        y1, y2, w1lo, w1hi, w2lo, w2hi, reach = columns
+        out = np.zeros(len(col))
         offs = (np.arange(nw) + 0.5) / nw
-        # blocks of 128 columns, then of 128 rows: temporaries reused, not paged in anew
-        for cb in range(0, len(heads), 128):
-            first = heads[cb]
-            stop = heads[cb + 128] if cb + 128 < len(heads) else len(keep)
-            c = keep[heads[cb : cb + 128]]  # the first row of each column
-            y, L1, L2 = ys[c], w1hi[c] - w1lo[c], w2hi[c] - w2lo[c]
+        top, bot, buf = np.empty((3, 128, nw, nw))
+        first = 0
+        for cb in range(0, len(y1), 128):
+            c = slice(cb, cb + 128)
+            stop = int(np.searchsorted(col, cb + 128))
+            L1, L2 = w1hi[c] - w1lo[c], w2hi[c] - w2lo[c]
             W1 = w1lo[c][:, None] + L1[:, None] * offs[None, :]  # (ncol, nw)
             W2 = w2lo[c][:, None] + L2[:, None] * offs[None, :]
             s = W1[:, :, None] ** 2 + W2[:, None, :] ** 2
             csec = np.where(s < r * r, 0.25 * np.sqrt(np.maximum(r**4 - s**2, 0.0)), 0.0)
-            sigma = 0.5 * (
-                y[:, 0, None, None] * W2[:, None, :] - y[:, 1, None, None] * W1[:, :, None]
-            )
-            area = L1 * L2 / (nw * nw)
-            rows, col = keep[first:stop], np.cumsum(starts[first:stop]) - 1
-            spread = len(rows) > len(c)  # some column has several rows
-            if spread:
-                # skip a row whose t-range ends at or below every sigma - csec
-                # of its column, or starts at or above every sigma + csec:
-                # there top <= bot at every point.  The margin covers the
-                # rounding of t - sigma, as |sigma| + csec <= reach.
-                low = (sigma - csec).min(axis=(1, 2))[col]
-                high = (sigma + csec).max(axis=(1, 2))[col]
-                m = 1e-9 * reach[rows] + np.finfo(float).tiny
-                skip = (t_hi[rows] + m <= low) | (t_lo[rows] - m >= high)
-                sel = np.flatnonzero(~skip)
-                rows, col = rows[sel], col[sel]
+            sigma = 0.5 * (y1[c, None, None] * W2[:, None, :] - y2[c, None, None] * W1[:, :, None])
+            scale = self.measure_scale * (L1 * L2 / (nw * nw))
+            low = (sigma - csec).min(axis=(1, 2))
+            high = (sigma + csec).max(axis=(1, 2))
+            full = scale * (2.0 * csec).sum(axis=(1, 2))  # top - bot = csec - -csec
+            j = col[first:stop] - cb
+            tl, th = t_lo[first:stop], t_hi[first:stop]
+            m = 1e-9 * reach[c][j] + np.finfo(float).tiny
+            lj, hj = low[j], high[j]
+            whole = (th - m >= hj) & (tl + m <= lj)
+            out[first:stop][whole] = full[j[whole]]
+            rows = np.flatnonzero(~whole & (th + m > lj) & (tl - m < hj))
             for b in range(0, len(rows), 128):
                 k = rows[b : b + 128]
-                if spread:
-                    j = col[b : b + 128]
-                    cs, sg, ar = csec[j], sigma[j], area[j]
-                else:  # one row per column
-                    cs, sg, ar = csec, sigma, area
-                top = np.minimum(t_hi[k][:, None, None] - sg, cs)
-                bot = np.maximum(t_lo[k][:, None, None] - sg, -cs)
-                ell = np.maximum(top - bot, 0.0)
-                out[k] = self.measure_scale * ar * ell.sum(axis=(1, 2))
+                n, jk = len(k), j[k]
+                tp, bt, g = top[:n], bot[:n], buf[:n]
+                np.take(sigma, jk, axis=0, out=g)
+                np.subtract(th[k][:, None, None], g, out=tp)
+                np.subtract(tl[k][:, None, None], g, out=bt)
+                np.minimum(tp, np.take(csec, jk, axis=0, out=g), out=tp)
+                np.maximum(bt, np.negative(g, out=g), out=bt)
+                np.subtract(tp, bt, out=tp)
+                np.maximum(tp, 0.0, out=tp)
+                out[first + k] = scale[jk] * tp.sum(axis=(1, 2))
+            first = stop
         return out
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
@@ -594,6 +645,37 @@ class HeisenbergGeometry:
             (bb[1][0] - r, bb[1][1] + r, mesh),
             (bb[2][0] - t_pad, bb[2][1] + t_pad, mesh * r / 4.0),
         ]
+
+
+def _shear_reach(r, y1, y2, w1lo, w1hi, w2lo, w2hi):
+    """A bound on |w3| + |sigma| over the footprint [w1lo, w1hi) x [w2lo,
+    w2hi) of the ball y.B(e, r); the slack covers rounding, so every row
+    it skips has a grid sum of exactly 0."""
+    return 1.001 * (r * r / 4.0 + 0.5 * (
+        np.abs(y1) * np.maximum(np.abs(w2lo), np.abs(w2hi))
+        + np.abs(y2) * np.maximum(np.abs(w1lo), np.abs(w1hi))
+    ))
+
+
+def _slab_measures(k, a1, a2, b1, b2, h3, s3, lo3, hi3, factor) -> np.ndarray:
+    """Haar measure of each slab k of its column, whose shear a*w1 + b*w2
+    has a*w1 in [a1, a2] and b*w2 in [b1, b2], cut from the box's t-range
+    [lo3, hi3); factor is the Haar scale over |a b|.
+
+    Slab k is the integral over s of the shear density |a b|^-1 *
+    len([a1, a2] ^ [s - b2, s - b1]) times len([-h3, h3) ^ [A - s, B - s));
+    the product is quadratic between the merged knots, where Simpson's
+    rule is exact."""
+    a1, a2, b1, b2, h3 = (x[:, None] for x in (a1, a2, b1, b2, h3))
+    z3 = (k + 0.5) * s3
+    A, B = (lo3 - z3)[:, None], (hi3 - z3)[:, None]
+    corners = np.hstack([a1 + b1, a1 + b2, a2 + b1, a2 + b2])
+    knots = np.sort(np.hstack([A - h3, A + h3, B - h3, B + h3, corners]), axis=1)
+    x = np.clip(knots, np.maximum(A - h3, a1 + b1), np.minimum(B + h3, a2 + b2))
+    x0, x1 = x[:, :-1], x[:, 1:]
+    s = np.stack([x0, 0.5 * (x0 + x1), x1])  # (3, rows, 7)
+    fs = _overlap(a1, a2, s - b2, s - b1) * _overlap(-h3, h3, A - s, B - s)
+    return ((x1 - x0) * (fs[0] + 4.0 * fs[1] + fs[2]) / 6.0).sum(axis=1) * factor
 
 
 def _distinct_rows(idx: np.ndarray) -> np.ndarray:

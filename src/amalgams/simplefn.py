@@ -11,6 +11,7 @@ nonnegative; a zero-valued cell adds nothing to any norm and is not stored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ import numpy as np
 from .groups import Box, GroupDescriptor
 
 INF = math.inf
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _check_exponent(q: float) -> float:
@@ -248,13 +250,50 @@ def lorentz_norm(f: SimpleFunction, q: float, p: float) -> float:
             v * prof.breakpoints[i + 1] ** (1.0 / q)
             for i, v in enumerate(prof.values)
         )
+    if math.isinf(prof.breakpoints[-1]):  # a positive value on infinite measure
+        return INF
     s = p / q
     e = _unit_exponent(prof.values[0], p)
     total = 0.0
-    for i, v in enumerate(prof.values):
-        t0, t1 = prof.breakpoints[i], prof.breakpoints[i + 1]
-        total += math.ldexp(v, -e) ** p * (t1**s - t0**s)
+    for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:]):
+        try:
+            vp, gap = math.ldexp(v, -e) ** p, t1**s - t0**s
+        except OverflowError:
+            return _lorentz_by_terms(prof, p, s)
+        term = vp * gap
+        # a factor or term off the normal range has lost digits (t0 == t1
+        # is a true 0)
+        if t0 < t1 and not (min(vp, gap, term) >= _TINY and term < INF):
+            return _lorentz_by_terms(prof, p, s)
+        total += term
+    if total == INF:
+        return _lorentz_by_terms(prof, p, s)
     return _times_pow2(total ** (1.0 / p), e)
+
+
+def _lorentz_by_terms(prof: StepProfile, p: float, s: float) -> float:
+    """The finite-(q, p) Lorentz norm (sum of v^p (t1^s - t0^s))^(1/p), s =
+    p/q, for steps whose powers leave the normal float range.
+
+    Each term is held as m * 2**k, k an integer: v and t1 are split by
+    frexp, t1^s - t0^s is t1^s (1 - (t0/t1)^s), and the exponent x = p
+    log2 v + s log2 t1 is summed from its integer and fractional parts, so
+    no power over- or underflows; the terms are then summed against the
+    largest k.
+    """
+    terms = []
+    for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:]):
+        mv, ev = math.frexp(v)
+        mt, et = math.frexp(t1)
+        x = ev * p + et * s + (p * math.log2(mv) + s * math.log2(mt))
+        ratio = t0 / t1
+        gap = -math.expm1(s * math.log(ratio)) if ratio > 0.0 else 1.0
+        k = math.floor(x)
+        terms.append((gap * 2.0 ** (x - k), k))
+    top = max(k for m, k in terms if m > 0.0)  # the first term's gap is 1
+    total = math.fsum(math.ldexp(m, k - top) for m, k in terms)
+    j = math.floor(top / p)
+    return _times_pow2(total ** (1.0 / p) * 2.0 ** (top / p - j), j)
 
 
 def scale(f: SimpleFunction, factor: float) -> SimpleFunction:

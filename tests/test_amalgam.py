@@ -138,6 +138,14 @@ def test_ball_quadrature_refuses_a_mesh_it_cannot_hold():
         ball_norm(square, ANISO_PLANE, 1e200, 1.0, 1.0)
 
 
+def test_ball_quadrature_refuses_y_cells_past_the_float_range():
+    # 2 y-points per axis, each step about 5e299 wide: their product overflows
+    f = simple_function(HEISENBERG, [((1.0, -1.0, -1.0), (1e300, 0.0, 1.0), 1.0)])
+    for q, p in ((4.0, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match=r"has y-cells of volume inf, past the float range"):
+            ball_norm(f, HEISENBERG, 1.0, q, p, mesh=1e300)
+
+
 def test_ball_norm_infinite_q_line():
     f = line_fn((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
     # p = inf: global sup; p finite: integrates the step max-profile

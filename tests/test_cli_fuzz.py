@@ -13,7 +13,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgams.cli import main
@@ -61,8 +61,25 @@ def commands(draw):
     return [cmd, *form, *exps, *alpha, "--grid", draw(st.sampled_from(GRIDS)), *extra]
 
 
+# the y-cells of this quadrature have an infinite volume, and every y-point
+# misses the cells, so the ball norm was inf * 0 = nan
+WIDE_HEISENBERG = {"group": "heisenberg", "cells": [
+    {"lo": [-1, -0.25, -1], "hi": [0, 0, 0], "value": 1e300},
+    {"lo": [1, -1, -1], "hi": [1e300, 0, 1], "value": 1e300},
+]}
+
+# a cell of infinite measure holding 5e-324, whose p-th power is 0: the
+# Lorentz sum was 0 * inf = nan
+INFINITE_MEASURE = {"group": "aniso-plane", "cells": [
+    {"lo": [-1e300, -1e300], "hi": [-1.0, -1.0], "value": 5e-324},
+    {"lo": [-1e300, -1.0], "hi": [-1.0, -0.25], "value": 0.5},
+]}
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=specs(), argv=commands())
+@example(spec=WIDE_HEISENBERG, argv=["norm", "--form", "ball", "--q", "4", "--p", "1", "--r", "1", "--mesh", "1e300"])
+@example(spec=INFINITE_MEASURE, argv=["lorentz", "--q", "1.5", "--p", "1.5"])
 def test_main_exits_0_with_strict_json_or_2_with_one_error_line(spec, argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,6 +95,8 @@ def test_main_exits_0_with_strict_json_or_2_with_one_error_line(spec, argv):
         assert isinstance(payload["value"], (float, int, str))
         if isinstance(payload["value"], (float, int)):
             assert math.isfinite(payload["value"])
+        else:  # a norm past the float range; never "nan" or "-inf"
+            assert payload["value"] == "inf"
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +99,122 @@ def test_lorentz_examples():
     assert lorentz_norm(two_step, 1.0, 1.0) == pytest.approx(
         lebesgue_norm(two_step, 1.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("q, p", [(1.5, 2.0), (1.0, 4.0), (4.0, 1.0), (2.0, 2.0)])
+@pytest.mark.parametrize("lo, hi", [(-1e300, 1.0), (0.0, 1e-300)])
+def test_lorentz_of_a_measure_near_the_float_range(lo, hi, q, p):
+    """One step of height v on measure m has Lorentz norm v m^(1/q) for
+    every p; the breakpoints' powers would leave the float range."""
+    f = line_fn((lo, hi, 1e-300))
+    m = f.cells[0].measure
+    exact = math.exp(math.log(1e-300) + math.log(m) / q)
+    assert lorentz_norm(f, q, p) == pytest.approx(exact, rel=1e-13)
+
+
+def test_lorentz_past_the_float_range_is_inf():
+    # 1e300 on an aniso-plane cell of measure 3.75e299: (2/3)-rds power 5e199
+    f = simple_function(ANISO_PLANE, [((-1e300, -1.0), (1.0, 0.5), 1e300)])
+    assert lorentz_norm(f, 1.5, 2.0) == INF
+    g = simple_function(ANISO_PLANE, [((-1e300, -1.0), (1.0, 0.5), 1e-300)])
+    assert lorentz_norm(g, 1.5, 2.0) == pytest.approx(5.2002095576297606e-101, rel=1e-13)
+    # a cell of infinite measure
+    h = simple_function(ANISO_PLANE, [((-1e300, -1e300), (-1.0, -1.0), 5e-324)])
+    assert h.cells[0].measure == INF and lorentz_norm(h, 1.5, 1.5) == INF
+
+
+def _plain_lorentz(prof, q, p):
+    """The finite-(q, p) Lorentz sum with one value shift and unscaled
+    breakpoints, as lorentz_norm evaluates every profile whose powers stay
+    in the normal float range."""
+    s = p / q
+    e = simplefn._unit_exponent(prof.values[0], p)
+    total = 0.0
+    for i, v in enumerate(prof.values):
+        t0, t1 = prof.breakpoints[i], prof.breakpoints[i + 1]
+        total += math.ldexp(v, -e) ** p * (t1**s - t0**s)
+    return simplefn._times_pow2(total ** (1.0 / p), e)
+
+
+def _contiguous(steps):
+    """A real-line function with the given (width, value) cells laid end to
+    end, narrowest first so that no width is lost to rounding."""
+    cells, x = [], 0.0
+    for width, v in sorted(steps):
+        cells.append((x, x + width, v))
+        x += width
+    return line_fn(*cells)
+
+
+def _decimal(lo, hi):
+    return st.builds(
+        lambda m, k: m * 10.0**k, st.floats(1.0, 9.99), st.integers(lo, hi)
+    )
+
+
+# a value 1e300 on measure 1e-300 below a value 1 on measure 1e300, at s =
+# 1/2: the breakpoints differ by 600 decades, yet no power leaves the range
+WIDE_STEPS = [(2e-300, 1e300), (2e300, 1.0)]
+
+
+@settings(max_examples=80)
+@given(
+    steps=st.lists(st.tuples(_decimal(-20, 20), _decimal(-20, 20)), min_size=1, max_size=5),
+    q=st.sampled_from([1.0, 1.5, 2.0, 4.0, 7.5]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 4.0, 7.5]),
+)
+@example(steps=WIDE_STEPS, q=2.0, p=1.0)
+def test_lorentz_in_the_normal_range_is_the_plain_sum(steps, q, p):
+    f = _contiguous(steps)
+    assert lorentz_norm(f, q, p) == _plain_lorentz(rearrangement(f), q, p)
+
+
+def test_lorentz_of_steps_600_decades_apart():
+    f = line_fn((0.0, 1e-300, 1e300), (1.0, 1e300, 1.0))
+    # 1e300 sqrt(5e-301) + sqrt(5e299) - sqrt(5e-301) = 2 sqrt(5e299)
+    assert lorentz_norm(f, 2.0, 1.0) == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-15)
+    # at q = 1 both steps give 1 in the p-th power sum, whose powers overflow
+    g = _contiguous([(2e-200, 1e200), (2e200, 1e-200)])
+    for p in (1.5, 2.0, 4.0):
+        assert lorentz_norm(g, 1.0, p) == pytest.approx(2.0 ** (1.0 / p), rel=1e-13)
+
+
+def test_lorentz_of_powers_below_the_normal_range():
+    # 1e300 on measure 1e-300 at q = 1: its 4th power sum 1e1200 * 1e-300^4
+    assert lorentz_norm(line_fn((0.0, 2e-300, 1e300)), 1.0, 4.0) == pytest.approx(1.0, rel=1e-13)
+    # 1 on measure 1 at p = 2000, where 0.5**2000 underflows
+    one = line_fn((0.0, 2.0, 1.0))
+    assert lorentz_norm(one, 2000.0, 2000.0) == pytest.approx(1.0, rel=1e-13)
+    assert lorentz_norm(one, 2.0, 2000.0) == pytest.approx(1.0, rel=1e-13)
+
+
+def _exact_log_lorentz(prof, p, s):
+    """log of the Lorentz norm, from the exact rational p-th power sum of
+    the profile (integer p and s)."""
+    total = sum(
+        Fraction(v) ** p * (Fraction(t1) ** s - Fraction(t0) ** s)
+        for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:])
+    )
+    return (math.log(total.numerator) - math.log(total.denominator)) / p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.tuples(_decimal(-300, 300), _decimal(-300, 300)), min_size=1, max_size=4),
+    ps=st.sampled_from([(1, 1), (2, 2), (4, 4), (2, 1), (4, 2), (4, 1)]),
+)
+@example(steps=WIDE_STEPS, ps=(1, 1))
+@example(steps=[(2e-200, 1e200), (2e200, 1e-200)], ps=(2, 2))
+@example(steps=[(2e-300, 1e300)], ps=(4, 4))
+def test_lorentz_at_any_scale_matches_the_exact_sum(steps, ps):
+    p, s = ps
+    f = _contiguous(steps)
+    want = _exact_log_lorentz(rearrangement(f), p, s)
+    got = lorentz_norm(f, p / s, p)
+    if want > math.log(sys.float_info.max) + 1e-9:
+        assert got == INF
+    elif want > math.log(sys.float_info.min) + 1e-9 and want < math.log(sys.float_info.max) - 1e-9:
+        assert math.log(got) == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def test_lorentz_rejects_infinite_q_finite_p():
