@@ -95,20 +95,32 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, pieces_of) ->
             local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts)
         else:
             local = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
-        owner, local = radius[starts], local.tolist()
-        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-        for a, b in zip([0] + cuts, cuts + [len(local)]):  # the cells of one radius
-            norms[owner[a]] = _cells_norm(local[a:b], q, p, e)
+        owner = radius[starts]
+        firsts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]  # each radius' first cell
+        for j, norm in zip(owner[firsts].tolist(), _cells_norms(local.tolist(), firsts, q, p, e)):
+            norms[j] = norm
     return norms
 
 
-def _cells_norm(acc: list[float], q: float, p: float, e: int) -> float:
-    """The ell^p norm over cells from each cell's sum of v^q lambda (its max
-    v at q = inf), for values scaled by 2**-e."""
+def _cells_norms(acc: list[float], firsts: list[int], q: float, p: float, e: int) -> list[float]:
+    """The ell^p norm over cells of each run acc[a:b] between consecutive
+    firsts (the last run ends at len(acc)), from each cell's sum of v^q
+    lambda (its max v at q = inf), for values scaled by 2**-e.  The powers
+    of all runs are taken in one list sweep, with Python's (libm's) pow,
+    and each run is summed by one fsum."""
+    runs = list(zip(firsts, firsts[1:] + [len(acc)]))
     locals_q = acc if math.isinf(q) else [a ** (1.0 / q) for a in acc]
     if math.isinf(p):
-        return _times_pow2(max(locals_q, default=0.0), e)
-    return _times_pow2(math.fsum(v**p for v in locals_q) ** (1.0 / p), e)
+        norms = [max(locals_q[a:b], default=0.0) for a, b in runs]
+    else:
+        powers = [v**p for v in locals_q]
+        norms = [math.fsum(powers[a:b]) ** (1.0 / p) for a, b in runs]
+    return [_times_pow2(x, e) for x in norms] if e else norms
+
+
+def _cells_norm(acc: list[float], q: float, p: float, e: int) -> float:
+    """The norm of one run of :func:`_cells_norms`: all of acc."""
+    return _cells_norms(acc, [0], q, p, e)[0]
 
 
 # -- sliding-ball integral --------------------------------------------------
@@ -143,11 +155,11 @@ def conv_q_indicator(
 
 
 def _check_ball_args(
-    f: SimpleFunction, g: GroupDescriptor, r: float, q: float, p: float, mesh: float | None
+    f: SimpleFunction, g: GroupDescriptor, radii: list[float], q: float, p: float, mesh: float | None
 ) -> tuple[float, float]:
     q = _check_exponent(q)
     p = _check_exponent(p)
-    if not 0 < r < math.inf:
+    if not all(0 < r < math.inf for r in radii):
         raise ValueError("ball radius must be positive and finite")
     if mesh is not None and not 0 < mesh < math.inf:
         raise ValueError("mesh must be positive and finite")
@@ -165,7 +177,7 @@ def ball_norm(
     mesh: float | None = None,
 ) -> float:
     """The y-integral form of the amalgam norm at ball radius r."""
-    q, p = _check_ball_args(f, g, r, q, p, mesh)
+    q, p = _check_ball_args(f, g, [r], q, p, mesh)
     if f.is_zero():
         return 0.0
     if g.d == 1:  # the y-integrand is piecewise linear: exact sweep
@@ -181,12 +193,12 @@ def ball_norms(
     p: float,
     mesh: float | None = None,
 ) -> list[float]:
-    """``ball_norm`` at every radius of radii; on the line one sweep
-    serves them all, bit-identical to the single-radius calls."""
+    """``ball_norm`` at every radius of radii; on the line the arguments
+    are checked once and one sweep serves every radius, bit-identical to
+    the single-radius calls."""
     if g.d != 1:
         return [ball_norm(f, g, r, q, p, mesh) for r in radii]
-    for r in radii:
-        q, p = _check_ball_args(f, g, r, q, p, mesh)
+    q, p = _check_ball_args(f, g, radii, q, p, mesh)
     if f.is_zero():
         return [0.0] * len(radii)
     return _ball_norm_line(f, radii, q, p)

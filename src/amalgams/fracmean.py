@@ -19,7 +19,7 @@ import numpy as np
 
 from .amalgam import _partition_sums, ball_norms
 from .groups import Box, GroupDescriptor
-from .partitions import UniformPartition, build_pi_r, cell_shape, check_scales
+from .partitions import UniformPartition, build_pi_r, cell_shape, cell_steps, check_scales
 from .simplefn import SimpleFunction, _check_exponent
 
 INF = math.inf
@@ -154,6 +154,19 @@ def _window(f: SimpleFunction, g: GroupDescriptor, steps: tuple[float, ...]) -> 
     return tuple(window)
 
 
+def _windows(f: SimpleFunction, g: GroupDescriptor, steps: np.ndarray) -> np.ndarray:
+    """:func:`_window` of each row of steps (shape (R, d)) in one pass, shape
+    (R, d, 2), bit for bit."""
+    bb = f.bounding_box()
+    lo, hi = np.array(bb if bb is not None else ((0.0, 0.0),) * g.d).T
+    short = steps * 1.0001 - (hi - lo)
+    wide, half = short > 0.0, short / 2.0
+    windows = np.empty(steps.shape + (2,))
+    windows[..., 0] = np.where(wide, lo - half, lo)
+    windows[..., 1] = np.where(wide, hi + half, hi)
+    return windows
+
+
 def partition_for(f: SimpleFunction, g: GroupDescriptor, r: float) -> UniformPartition:
     """Scale-r partition whose window swallows the support of f."""
     _, steps = cell_shape(g, r)
@@ -164,16 +177,16 @@ def _partition_norms(
     f: SimpleFunction, g: GroupDescriptor, radii: list[float], q: float, p: float
 ) -> list[float]:
     """``partition_norm(f, partition_for(f, g, r), q, p)`` for each r of
-    radii, bit for bit, from one ``partition_pieces`` stream."""
+    radii, bit for bit, from one ``partition_pieces`` stream; the steps,
+    windows and scale checks of all radii are made in one pass."""
     if f.group.name != g.name:
         raise ValueError("function and partition live on different groups")
-    steps = [cell_shape(g, r)[1] for r in radii]
-    check_scales(g, radii, steps, [_window(f, g, s) for s in steps])
+    steps = cell_steps(g, radii)
+    check_scales(g, radii, steps, _windows(f, g, steps))
     q = _check_exponent(q)
     p = _check_exponent(p)
     if f.is_zero():
         return [0.0] * len(radii)
-    steps = np.array(steps)
     return _partition_sums(f, q, p, len(radii), lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
 
 

@@ -130,8 +130,11 @@ MAX_CELLS = 1 << 53
 def _radius_blocks(per_radius: np.ndarray) -> list[tuple[int, int]]:
     """Runs [a, b) of whole radii of about BLOCK_PIECES pieces each, from the
     pieces (or a bound of them) of each radius."""
+    per_radius = per_radius.tolist()
+    if sum(per_radius) <= BLOCK_PIECES:
+        return [(0, len(per_radius))]
     cuts, total = [0], 0.0
-    for j, m in enumerate(per_radius.tolist()):
+    for j, m in enumerate(per_radius):
         if j > cuts[-1] and total + m > BLOCK_PIECES:
             cuts.append(j)
             total = 0.0
@@ -193,8 +196,12 @@ class BoxGeometry:
     def norm(self, x: Point) -> float:
         return max(abs(c) ** (1.0 / a) for c, a in zip(x, self.g.dilation_exponents))
 
-    def cell_half_extents(self, u: float) -> tuple[float, ...]:
-        """Half-widths u**a_i of the cells at U-radius u, and of B(e, u)."""
+    def cell_half_extents(self, u) -> tuple:
+        """Half-widths u**a_i of the cells at U-radius u, and of B(e, u); one
+        array per axis for an array of u.  The powers stay Python's (libm's):
+        NumPy's may differ in the last bit."""
+        if isinstance(u, np.ndarray):
+            return tuple([np.array([x**a for x in u.tolist()]) for a in self.g.dilation_exponents])
         return tuple([u**a for a in self.g.dilation_exponents])
 
     def locate(self, steps, xs: np.ndarray) -> np.ndarray:
@@ -348,7 +355,8 @@ class HeisenbergGeometry:
         a, b, t = x[0] / m, x[1] / m, x[2] / m / m
         return m * ((a**2 + b**2) ** 2 + 16.0 * t**2) ** 0.25
 
-    def cell_half_extents(self, u: float) -> tuple[float, ...]:
+    def cell_half_extents(self, u) -> tuple:
+        """As for boxes; u may be a float or an array."""
         return (u, u, u * u / 4.0)
 
     def locate(self, steps, xs: np.ndarray) -> np.ndarray:
@@ -549,8 +557,11 @@ class HeisenbergGeometry:
             (w1lo < w1hi) & (w2lo < w2hi) & (t_hi + reach > 0.0) & (t_lo - reach < 0.0)
         )
         columns = (ys[k, 0], ys[k, 1], w1lo[k], w1hi[k], w2lo[k], w2hi[k], reach[k])
+        t_lo, t_hi = t_lo[k], t_hi[k]
         out = np.zeros(len(ys))
-        out[k] = self._column_sums(r, nw, columns, np.arange(len(k)), t_lo[k], t_hi[k])
+        out[k] = self._column_sums(  # one row per column
+            r, nw, columns, lambda c, low, high, m: (np.arange(len(low)), t_lo[c], t_hi[c])
+        )
         return out
 
     def ball_mesh_rows(self, axes, r: float, lo, hi, nw: int) -> tuple[np.ndarray, np.ndarray]:
@@ -559,11 +570,12 @@ class HeisenbergGeometry:
         of the rows it keeps; every other row is 0.
 
         The footprint and the reach are worked out once per (y1, y2) column,
-        with the row kernel's expressions.  Along a column, t_lo and t_hi
-        fall as y3 rises, and rounding keeps the sign of a sum, so the row
-        test t_hi + reach > 0, t_lo - reach < 0 keeps the run of y3 with
-        -t_hi < reach and -t_lo > -reach, which ``searchsorted`` finds
-        exactly."""
+        with the row kernel's expressions, and so are the grid and the
+        t-reach [low, high] of :meth:`_column_sums`.  Along a column, t_lo
+        and t_hi fall as y3 rises, so ``searchsorted`` finds the run of y3
+        with t_lo < high + 2m and t_hi > low - 2m; it holds every row that
+        the kernel's own tests t_hi + m > low, t_lo - m < high keep, as m
+        passes the rounding of those sums many times over."""
         y1, y2, y3 = axes
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         w1lo, w1hi = np.maximum(lo[0] - y1, -r), np.minimum(hi[0] - y1, r)
@@ -571,38 +583,44 @@ class HeisenbergGeometry:
         i1, i2 = np.flatnonzero(w1lo < w1hi), np.flatnonzero(w2lo < w2hi)
         c1, c2 = np.repeat(i1, len(i2)), np.tile(i2, len(i1))
         columns = (y1[c1], y2[c2], w1lo[c1], w1hi[c1], w2lo[c2], w2hi[c2])
-        reach = _shear_reach(r, *columns)
         t_lo, t_hi = lo[2] - y3, hi[2] - y3
-        first = np.searchsorted(-t_lo, -reach, side="right")
-        count = np.maximum(np.searchsorted(-t_hi, reach, side="left") - first, 0)
-        col = np.repeat(np.arange(len(c1)), count)
-        k = first[col] + np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
-        ids = (c1[col] * len(y2) + c2[col]) * len(y3) + k
-        return ids, self._column_sums(r, nw, (*columns, reach), col, t_lo[k], t_hi[k])
+        ids = [np.zeros(0, dtype=np.int64)]
 
-    def _column_sums(self, r: float, nw: int, columns, col, t_lo, t_hi) -> np.ndarray:
-        """The ball-box measures of rows (t_lo, t_hi) of the columns (y1, y2,
-        w1lo, w1hi, w2lo, w2hi, reach), row n in column col[n], col sorted.
+        def rows_of(c, low, high, m):
+            first = np.searchsorted(-t_lo, -(high + 2.0 * m), side="right")
+            count = np.maximum(np.searchsorted(-t_hi, 2.0 * m - low, side="left") - first, 0)
+            j = np.repeat(np.arange(len(count)), count)
+            k = first[j] + np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
+            ids.append((c1[c][j] * len(y2) + c2[c][j]) * len(y3) + k)
+            return j, t_lo[k], t_hi[k]
+
+        values = self._column_sums(r, nw, (*columns, _shear_reach(r, *columns)), rows_of)
+        return np.concatenate(ids), values
+
+    def _column_sums(self, r: float, nw: int, columns, rows_of) -> np.ndarray:
+        """The ball-box measures of the rows of the columns (y1, y2, w1lo,
+        w1hi, w2lo, w2hi, reach), taken in blocks of 128 columns: for the
+        block of columns c (a slice), ``rows_of(c, low, high, m)`` gives its
+        rows as (column j within the block, sorted; t_lo; t_hi).
 
         Shared per column, and computed once for it: the grid W1, W2, the
         ball section csec over it, the shear sigma, the area factor, and the
         column's t-reach from low = min(sigma - csec) to high = max(sigma +
-        csec).  A row whose t-range ends at or below low, or starts at or
-        above high, is 0: there top <= bot at every point.  A row whose
-        t-range holds [low, high] gets the column's full-section sum: there
-        top == csec and bot == -csec at every point.  The margin of both
-        tests covers the rounding of t - sigma, as |sigma| + csec <= reach.
-        The other rows clip the sections to their t-range and sum over the
-        grid, in blocks of 128 rows whose buffers are reused.
+        csec), with the margin m = 1e-9 reach + tiny.  A row whose t-range
+        ends at or below low, or starts at or above high, is 0: there top <=
+        bot at every point.  A row whose t-range holds [low, high] gets the
+        column's full-section sum: there top == csec and bot == -csec at
+        every point.  The margin of both tests covers the rounding of t -
+        sigma, as |sigma| + csec <= reach.  The other rows clip the sections
+        to their t-range and sum over the grid, in blocks of 128 rows whose
+        buffers are reused.
         """
         y1, y2, w1lo, w1hi, w2lo, w2hi, reach = columns
-        out = np.zeros(len(col))
+        outs = [np.zeros(0)]
         offs = (np.arange(nw) + 0.5) / nw
         top, bot, buf = np.empty((3, 128, nw, nw))
-        first = 0
         for cb in range(0, len(y1), 128):
             c = slice(cb, cb + 128)
-            stop = int(np.searchsorted(col, cb + 128))
             L1, L2 = w1hi[c] - w1lo[c], w2hi[c] - w2lo[c]
             W1 = w1lo[c][:, None] + L1[:, None] * offs[None, :]  # (ncol, nw)
             W2 = w2lo[c][:, None] + L2[:, None] * offs[None, :]
@@ -613,13 +631,13 @@ class HeisenbergGeometry:
             low = (sigma - csec).min(axis=(1, 2))
             high = (sigma + csec).max(axis=(1, 2))
             full = scale * (2.0 * csec).sum(axis=(1, 2))  # top - bot = csec - -csec
-            j = col[first:stop] - cb
-            tl, th = t_lo[first:stop], t_hi[first:stop]
-            m = 1e-9 * reach[c][j] + np.finfo(float).tiny
-            lj, hj = low[j], high[j]
-            whole = (th - m >= hj) & (tl + m <= lj)
-            out[first:stop][whole] = full[j[whole]]
-            rows = np.flatnonzero(~whole & (th + m > lj) & (tl - m < hj))
+            m = 1e-9 * reach[c] + np.finfo(float).tiny
+            j, tl, th = rows_of(c, low, high, m)
+            mj, lj, hj = m[j], low[j], high[j]
+            out = np.zeros(len(j))
+            whole = (th - mj >= hj) & (tl + mj <= lj)
+            out[whole] = full[j[whole]]
+            rows = np.flatnonzero(~whole & (th + mj > lj) & (tl - mj < hj))
             for b in range(0, len(rows), 128):
                 k = rows[b : b + 128]
                 n, jk = len(k), j[k]
@@ -631,9 +649,9 @@ class HeisenbergGeometry:
                 np.maximum(bt, np.negative(g, out=g), out=bt)
                 np.subtract(tp, bt, out=tp)
                 np.maximum(tp, 0.0, out=tp)
-                out[first + k] = scale[jk] * tp.sum(axis=(1, 2))
-            first = stop
-        return out
+                out[k] = scale[jk] * tp.sum(axis=(1, 2))
+            outs.append(out)
+        return np.concatenate(outs)
 
     def quadrature_axes(self, bb: Box, r: float, mesh: float) -> list[tuple[float, float, float]]:
         """As for boxes; the shear pads t, whose step follows the t-extent r^2/4."""

@@ -114,10 +114,38 @@ def cell_shape(g: GroupDescriptor, r: float) -> tuple[tuple[float, ...], tuple[f
     return half, tuple([2.0 * h for h in half])
 
 
+def cell_steps(g: GroupDescriptor, radii: Sequence[float]) -> np.ndarray:
+    """The lattice steps of cell_shape at each of radii, shape (R, d), bit
+    for bit, from one array of U-radii."""
+    u = np.asarray(radii, dtype=float) / (4.0 * g.gamma**2)
+    try:
+        with np.errstate(over="ignore"):  # an inf step, as in Python's float products
+            return 2.0 * np.array(g.geometry.cell_half_extents(u)).T
+    except OverflowError:  # a power past the float range: cell_shape's inf steps
+        return np.array([cell_shape(g, r)[1] for r in radii])
+
+
 def check_scales(g: GroupDescriptor, radii: Sequence[float], steps, windows) -> None:
     """Raise build_pi_r's ValueError for the first of radii whose partition
-    it rejects, where steps[i] (from cell_shape) and windows[i] are the
-    lattice steps and the window of radii[i]."""
+    it rejects, where steps[i] (from cell_shape) and windows[i] (lo, hi per
+    axis) are the lattice steps and the window of radii[i].
+
+    Many radii are tested in one NumPy pass, and only the first failing one
+    goes on to the tests below, whose order names its error; one radius
+    goes to them at once, as NumPy's fixed cost is larger than theirs."""
+    if len(radii) > 1:
+        r, s, w = (np.asarray(x, dtype=float) for x in (radii, steps, windows))
+        extent = w[..., 1] - w[..., 0]
+        with np.errstate(all="ignore"):
+            bad = ~((0 < r) & (r < math.inf)) | np.any(
+                (w[..., 0] >= w[..., 1]) | (s < sys.float_info.min) | (s == math.inf)
+                | (extent / s >= 2.0**53) | (extent < s),
+                axis=1,
+            )
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        radii, steps, windows = radii[i : i + 1], s[i : i + 1].tolist(), w[i : i + 1].tolist()
     for r, r_steps, window in zip(radii, steps, windows):
         if not 0 < r < math.inf:
             raise ValueError("scale r must be positive and finite")

@@ -254,19 +254,21 @@ def lorentz_norm(f: SimpleFunction, q: float, p: float) -> float:
         return INF
     s = p / q
     e = _unit_exponent(prof.values[0], p)
-    total = 0.0
+    total = lost = 0.0
     for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:]):
         try:
-            vp, gap = math.ldexp(v, -e) ** p, t1**s - t0**s
+            vp, a, b = math.ldexp(v, -e) ** p, t0**s, t1**s
         except OverflowError:
             return _lorentz_by_terms(prof, p, s)
-        term = vp * gap
-        # a factor or term off the normal range has lost digits (t0 == t1
-        # is a true 0)
-        if t0 < t1 and not (min(vp, gap, term) >= _TINY and term < INF):
-            return _lorentz_by_terms(prof, p, s)
+        term = vp * (b - a)
+        # a factor or term below the normal range has lost digits: bound the
+        # term by its factors raised to 2 * _TINY, plus _TINY for the rounding
+        # of that product (t0 == t1, or equal normal powers, is a true 0)
+        if t0 < t1 and not (min(vp, b - a, term) >= _TINY or a == b >= _TINY):
+            lost += max(vp, 2.0 * _TINY) * max(b - a, 2.0 * _TINY) + _TINY
         total += term
-    if total == INF:
+    # a term past the float range, or lost digits that can move the total
+    if not total < INF or lost > 2.0**-54 * total:
         return _lorentz_by_terms(prof, p, s)
     return _times_pow2(total ** (1.0 / p), e)
 

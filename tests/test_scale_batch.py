@@ -3,6 +3,7 @@ grid in one batch; these tests pin every batched value, bit for bit, to
 the single-radius paths and to the per-radius sweep the batch replaced."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from amalgams.fracmean import (
     RadiusGrid,
     _partition_norms,
     _weighted_max,
+    _window,
+    _windows,
     default_grid,
     divergence_diagnostic,
     fractional_norm_partition,
@@ -25,6 +28,7 @@ from amalgams.fracmean import (
     partition_for,
 )
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
+from amalgams.partitions import build_pi_r, cell_shape, cell_steps, check_scales
 from amalgams.simplefn import _times_pow2, _unit_exponent, simple_function
 from amalgams.verify import gen_random_simple
 
@@ -336,3 +340,112 @@ def test_batches_on_a_cell_of_subnormal_width():
         for p in PS:
             assert _bits(_partition_norms(f, REAL_LINE, radii, q, p)) == _bits(_looped(f, REAL_LINE, radii, q, p))
             assert _bits(ball_norms(f, REAL_LINE, radii, q, p)) == _bits([ball_norm(f, REAL_LINE, r, q, p) for r in radii])
+
+
+# -- per-call bookkeeping ---------------------------------------------------------
+
+# A radius of RadiusGrid(0.131, 0.131 * 256, 4) whose U-radius u = r/4 has
+# u**2.0 (libm's pow) = 0x1.8da0e6ca405b3p-10 but u * u = 0x1.8da0e6ca405b2p-10,
+# the bits NumPy's square and power give: the plane's steps must keep libm's.
+LIBM_POW_RADIUS = 0.15578613206535646
+GROUP_WINDOWS = {
+    "real-line": ((-4.0, 4.0),),
+    "aniso-plane": ((-2.0, 2.0), (-4.0, 4.0)),
+    "heisenberg": ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
+}
+ALL_GROUPS = [REAL_LINE, ANISO_PLANE, HEISENBERG]
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+def test_batched_steps_and_windows_are_the_single_radius_ones(g):
+    radii = RadiusGrid(0.131, 0.131 * 256, 4).radii() + RadiusGrid(1e-3, 1e3, 3).radii()
+    assert LIBM_POW_RADIUS in radii
+    steps = cell_steps(g, radii)
+    single = [cell_shape(g, r)[1] for r in radii]
+    assert [_bits(s) for s in steps.tolist()] == [_bits(s) for s in single]
+    for f in (gen_random_simple(5, 3, GROUP_WINDOWS[g.name], g), simple_function(g, [])):
+        windows = _windows(f, g, steps)
+        assert [[_bits(axis) for axis in w] for w in windows.tolist()] == [
+            [_bits(axis) for axis in _window(f, g, s)] for s in single
+        ]
+
+
+def test_batched_steps_past_the_float_range_are_inf_on_every_axis():
+    radii = [1.0, 1e200, 1e300, 2.0]  # (r/4)**2 overflows at the middle two
+    steps = cell_steps(ANISO_PLANE, radii)
+    assert steps.tolist() == [list(cell_shape(ANISO_PLANE, r)[1]) for r in radii]
+    assert steps[1:3].tolist() == [[INF, INF], [INF, INF]]
+
+
+def _first_build_error(g, radii, windows):
+    """The message of build_pi_r's scale checks, one radius after another,
+    as written before check_scales tested many radii in one NumPy pass."""
+    for r, window in zip(radii, windows):
+        steps = cell_shape(g, r)[1]
+        if not 0 < r < math.inf:
+            return "scale r must be positive and finite"
+        if len(window) != g.d or any(a >= b for a, b in window):
+            return "window must be a nonempty box matching the group dimension"
+        for (a, b), s in zip(window, steps):
+            if s < sys.float_info.min or s == math.inf or (b - a) / s >= 2.0**53:
+                return f"scale r = {r} out of range: lattice step {s} over axis extent {b - a}"
+            if b - a < s:
+                return f"degenerate window: axis extent {b - a} below cell extent {s}"
+    return None
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+def test_batched_check_raises_the_first_bad_radius_message(g):
+    f = gen_random_simple(6, 3, GROUP_WINDOWS[g.name], g)
+    good = [0.5, 1.0, 2.0]
+    bad = [1e-300, -1.0, 1e-320, math.nan, INF, 1e200]
+    for k in range(len(good) + 1):
+        for first in range(len(bad)):
+            radii = good[:k] + bad[first:] + good[k:]
+            steps = cell_steps(g, radii)
+            windows = [_window(f, g, s) for s in steps.tolist()]
+            expected = _first_build_error(g, radii, windows)
+            if expected is None:  # 1e200 alone, whose line lattice is fine
+                check_scales(g, radii, steps, _windows(f, g, steps))
+                continue
+            with pytest.raises(ValueError) as batch:
+                check_scales(g, radii, steps, _windows(f, g, steps))
+            assert str(batch.value) == expected
+            with pytest.raises(ValueError) as norms:
+                _partition_norms(f, g, radii, 1.0, 2.0)
+            assert str(norms.value) == expected
+
+
+def test_batched_check_orders_window_and_axis_errors_like_build_pi_r():
+    g = ANISO_PLANE  # at r = 4 the steps are (2, 2)
+    cases = [
+        ((0.0, 8.0), (0.0, 8.0)),  # fine
+        ((0.0, 1.0), (0.0, 8.0)),  # axis 0 narrower than its cell
+        ((0.0, 8.0), (0.0, 1.5)),  # axis 1 narrower than its cell
+        ((0.0, 8.0), (1.0, 1.0)),  # empty
+        ((0.0, 8.0), (0.0, 4e16)),  # axis 1 past 2**53 steps
+    ]
+    for first in range(1, len(cases)):
+        windows = [cases[0], *cases[first:], cases[0]]
+        radii = [4.0] * len(windows)
+        expected = _first_build_error(g, radii, windows)
+        assert expected is not None
+        with pytest.raises(ValueError) as batch:
+            check_scales(g, radii, cell_steps(g, radii), windows)
+        assert str(batch.value) == expected
+        with pytest.raises(ValueError) as single:
+            build_pi_r(g, 4.0, cases[first])
+        assert str(single.value) == expected
+    with pytest.raises(ValueError, match="window must be a nonempty box"):
+        build_pi_r(g, 4.0, ((0.0, 8.0),))
+
+
+@pytest.mark.parametrize("g", [REAL_LINE, ANISO_PLANE], ids=lambda g: g.name)
+def test_ball_norms_raise_the_single_radius_error_of_a_bad_radius(g):
+    f = gen_random_simple(7, 4, GROUP_WINDOWS[g.name], g)
+    for bad in (-1.0, 0.0, INF, math.nan):
+        with pytest.raises(ValueError) as single:
+            ball_norm(f, g, bad, 1.0, 2.0)
+        with pytest.raises(ValueError) as batch:
+            ball_norms(f, g, [0.5, 1.0, bad, 2.0], 1.0, 2.0)
+        assert str(batch.value) == str(single.value)

@@ -164,6 +164,10 @@ WIDE_STEPS = [(2e-300, 1e300), (2e300, 1.0)]
     p=st.sampled_from([1.0, 1.5, 2.0, 4.0, 7.5]),
 )
 @example(steps=WIDE_STEPS, q=2.0, p=1.0)
+# breakpoints 5e19 and 5.000000000000001e19 one ulp apart: a gap t1^s - t0^s of 0
+@example(steps=[(10000.0, 0.1), (1e20, 1.0)], q=2.0, p=1.0)
+# after the value shift the small step's term underflows, far below the total
+@example(steps=[(1.0, 1e20), (1e-6, 1e-20)], q=1.0, p=7.5)
 def test_lorentz_in_the_normal_range_is_the_plain_sum(steps, q, p):
     f = _contiguous(steps)
     assert lorentz_norm(f, q, p) == _plain_lorentz(rearrangement(f), q, p)
