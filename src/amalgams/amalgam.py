@@ -23,7 +23,18 @@ import numpy as np
 
 from .groups import BLOCK_PIECES, MAX_PIECES, GroupDescriptor, Point
 from .partitions import UniformPartition
-from .simplefn import SimpleFunction, _check_exponent, _times_pow2, _unit_exponent
+from .simplefn import (
+    RANGE_ERROR,
+    SimpleFunction,
+    _cells_hold,
+    _check_exponent,
+    _check_measures,
+    _lost_digits,
+    _power_sums,
+    _root,
+    _times_pow2,
+    _unit_exponent,
+)
 
 
 @dataclass(frozen=True)
@@ -76,12 +87,16 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, pieces_of) ->
     hi)`` cuts from its cells.  A stable group-by keeps each cell's pieces
     in stream order, where np.bincount sums them one after another; the
     per-cell powers and the sum over cells stay in Python (libm's powers,
-    fsum).  A radius without pieces has norm 0."""
+    fsum).  Where the cells' sums lose digits (:func:`_cells_hold`), the
+    local norms are taken by :func:`_power_sums` instead.  A radius without
+    pieces has norm 0."""
     e = _unit_exponent(f.max_value, q, p)
     lo = np.array([c.lo for c in f.cells])
     hi = np.array([c.hi for c in f.cells])
-    v = [math.ldexp(c.value, -e) for c in f.cells]
-    v = np.array(v if math.isinf(q) else [x**q for x in v])
+    vals = [math.ldexp(c.value, -e) for c in f.cells]
+    powers = vals if math.isinf(q) else [x**q for x in vals]
+    v = np.array(powers)
+    plain = math.isinf(q) or _cells_hold(f, q, powers)
     norms = [0.0] * n
     for radius, box, idx, m in pieces_of(lo, hi):
         if not len(radius):
@@ -91,36 +106,42 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, pieces_of) ->
         new = np.ones(len(order), dtype=bool)
         new[1:] = (radius[1:] != radius[:-1]) | np.any(idx[1:] != idx[:-1], axis=1)
         starts = np.flatnonzero(new)
-        if math.isinf(q):
-            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts)
-        else:
-            local = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
         owner = radius[starts]
         firsts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]  # each radius' first cell
-        for j, norm in zip(owner[firsts].tolist(), _cells_norms(local.tolist(), firsts, q, p, e)):
+        if math.isinf(q):
+            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts).tolist()
+        elif plain:
+            sums = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
+            local = [a ** (1.0 / q) for a in sums.tolist()]
+        else:
+            local = _power_sums(np.array(vals)[box[order]], q, m[order], starts.tolist())
+        for j, norm in zip(owner[firsts].tolist(), _cells_norms(local, firsts, p, e)):
             norms[j] = norm
     return norms
 
 
-def _cells_norms(acc: list[float], firsts: list[int], q: float, p: float, e: int) -> list[float]:
-    """The ell^p norm over cells of each run acc[a:b] between consecutive
-    firsts (the last run ends at len(acc)), from each cell's sum of v^q
-    lambda (its max v at q = inf), for values scaled by 2**-e.  The powers
-    of all runs are taken in one list sweep, with Python's (libm's) pow,
-    and each run is summed by one fsum."""
-    runs = list(zip(firsts, firsts[1:] + [len(acc)]))
-    locals_q = acc if math.isinf(q) else [a ** (1.0 / q) for a in acc]
+def _cells_norms(local: list[float], firsts: list[int], p: float, e: int) -> list[float]:
+    """The ell^p norm over cells of each run local[a:b] of local L^q norms
+    between consecutive firsts (the last run ends at len(local)), for
+    values scaled by 2**-e.  The powers of all runs are taken in one list
+    sweep, with Python's (libm's) pow, and each run is summed by one fsum;
+    a run whose sum lost digits is summed by :func:`_power_sums`."""
+    runs = list(zip(firsts, firsts[1:] + [len(local)]))
     if math.isinf(p):
-        norms = [max(locals_q[a:b], default=0.0) for a, b in runs]
+        norms = [max(local[a:b], default=0.0) for a, b in runs]
     else:
-        powers = [v**p for v in locals_q]
-        norms = [math.fsum(powers[a:b]) ** (1.0 / p) for a, b in runs]
+        powers = [v**p for v in local]
+        totals = [math.fsum(powers[a:b]) for a, b in runs]
+        norms = [t ** (1.0 / p) for t in totals]
+        for k in _lost_digits(powers, 1.0, totals, firsts):
+            norms[k] = _power_sums(local[slice(*runs[k])], p, 1.0)[0]
     return [_times_pow2(x, e) for x in norms] if e else norms
 
 
 def _cells_norm(acc: list[float], q: float, p: float, e: int) -> float:
-    """The norm of one run of :func:`_cells_norms`: all of acc."""
-    return _cells_norms(acc, [0], q, p, e)[0]
+    """The norm of one run of :func:`_cells_norms` from each cell's sum of
+    v^q lambda (its max v at q = inf)."""
+    return _cells_norms(acc if math.isinf(q) else [a ** (1.0 / q) for a in acc], [0], p, e)[0]
 
 
 # -- sliding-ball integral --------------------------------------------------
@@ -143,12 +164,16 @@ def conv_q_indicator(
     hi = np.array([c.hi for c in cells])
     ys = np.broadcast_to(np.asarray(x, dtype=float), lo.shape)
     measures = f.group.geometry.ball_box_measure(ys, r, lo, hi, mesh).tolist()
+    _check_measures(f, q)
+    hit = [(c.value, m) for c, m in zip(cells, measures) if m > 0.0]  # a miss adds a true 0
+    values, weights = [v for v, _ in hit], [m for _, m in hit]
     e = _unit_exponent(f.max_value, q)
-    total = sum(math.ldexp(c.value, -e) ** q * m for c, m in zip(cells, measures))
-    try:  # the q-th power of a norm: it scales by 2**(e*q)
-        return total * 2.0 ** (e * q)
-    except OverflowError:
-        return math.inf
+    powers = [math.ldexp(v, -e) ** q for v in values]
+    total = sum(x * m for x, m in zip(powers, weights))
+    if _lost_digits(powers, weights, [total]):
+        return _power_sums(values, q, weights, root=False)[0]
+    k = math.floor(e * q)  # the q-th power of a norm: it scales by 2**(e*q)
+    return _times_pow2(total * 2.0 ** (e * q - k), k)
 
 
 # -- ball norm ---------------------------------------------------------------
@@ -214,7 +239,10 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     scale = f.group.measure_scale
     lo = np.array([c.lo[0] for c in cells])
     hi = np.array([c.hi[0] for c in cells])
-    w = np.array([math.ldexp(c.value, -e) ** q * scale for c in cells])
+    powers = [math.ldexp(c.value, -e) ** q for c in cells]
+    if not _cells_hold(f, q, powers):
+        raise ValueError(RANGE_ERROR)  # the sweep is no power sum
+    w = np.array([x * scale for x in powers])
     # phi(y) = sum_i v_i^q lambda([a_i, b_i) ^ (y-r, y+r)) is piecewise
     # linear; each cell contributes slope +w on [a-r, a-r+W) and -w on
     # [b+r-W, b+r) with W = min(b-a, 2r).  Each row of the event arrays
@@ -244,13 +272,18 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
         if math.isinf(p):
             norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]
             continue
+        pieces, heads, totals = [], [], []
         for knots, phi in zip(y.tolist(), values.tolist()):
-            total = 0.0
-            for y0, y1, f0, f1 in zip(knots[:-1], knots[1:], phi[:-1], phi[1:]):
-                dy = y1 - y0
-                if dy > 0.0:  # a repeated knot adds nothing
-                    total += _linear_power_integral(f0, f1, dy, p / q) * scale
-            norms.append(_times_pow2(total ** (1.0 / p), e))
+            heads.append(len(pieces))
+            pieces += [  # a repeated knot, or a segment where phi is 0, adds nothing
+                _linear_power_integral(f0, f1, y1 - y0, p / q) * scale
+                for y0, y1, f0, f1 in zip(knots[:-1], knots[1:], phi[:-1], phi[1:])
+                if y1 > y0 and (f0 or f1)
+            ]
+            totals.append(sum(pieces[heads[-1] :]))
+        if _lost_digits(pieces, 1.0, totals, heads):
+            raise ValueError(RANGE_ERROR)  # an integral of powers is no power sum
+        norms += [_times_pow2(t ** (1.0 / p), e) for t in totals]
     return norms
 
 
@@ -269,7 +302,7 @@ def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
     knots = sorted({s for s, _, _ in starts} | {end for _, _, end in starts})
     heap: list[tuple[float, float]] = []
     nxt = 0
-    total = 0.0
+    values, widths = [], []
     for y0, y1 in zip(knots[:-1], knots[1:]):
         ym = 0.5 * (y0 + y1)
         while nxt < len(starts) and starts[nxt][0] < ym:
@@ -277,9 +310,12 @@ def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
             nxt += 1
         while heap and heap[0][1] <= ym:
             heapq.heappop(heap)
-        v = -heap[0][0] if heap else 0.0
-        total += math.ldexp(v, -e) ** p * (y1 - y0) * scale
-    return _times_pow2(total ** (1.0 / p), e)
+        if heap:
+            values.append(math.ldexp(-heap[0][0], -e))
+            widths.append(y1 - y0)
+    powers = [v**p for v in values]
+    total = sum(x * dy * scale for x, dy in zip(powers, widths))
+    return _root(total, p, e, values, [dy * scale for dy in widths], powers)
 
 
 def _linear_power_integral(f0: float, f1: float, dy: float, s: float) -> float:
@@ -324,19 +360,31 @@ def _ball_norm_quadrature(
     axes = [a + (np.arange(k) + 0.5) * s for a, k, s in zip(lo, n.astype(int), step)]
     local = np.zeros(int(points))  # one value per y-point, in meshgrid "ij" order
     e = _unit_exponent(f.max_value, q, p)
-    for c in f.cells:
+    vals = [math.ldexp(c.value, -e) for c in f.cells]
+    vq = vals if math.isinf(q) else [v**q for v in vals]
+    plain = math.isinf(q) or _cells_hold(f, q, vq)
+    rows = []  # otherwise each y-point's (value, overlap) terms, for _power_sums
+    for c, v, w in zip(f.cells, vals, vq):
         # 8 x 8 inner (w1, w2) grid on the Heisenberg group
         ids, overlap = g.geometry.ball_mesh_rows(axes, r, c.lo, c.hi, 8)
-        v = math.ldexp(c.value, -e)
         if math.isinf(q):
             local[ids] = np.maximum(local[ids], np.where(overlap > 0.0, v, 0.0))
+        elif plain:
+            local[ids] += w * overlap
         else:
-            local[ids] += v**q * overlap
-    if not math.isinf(q):
+            hit = overlap > 0.0  # a miss adds a true 0
+            rows.append((ids[hit], np.full(hit.sum(), v), overlap[hit]))
+    if rows:
+        ids, x, w = (np.concatenate(a) for a in zip(*rows))
+        order = np.argsort(ids, kind="stable")
+        at, heads = np.unique(ids[order], return_index=True)
+        local[at] = _power_sums(x[order], q, w[order], heads.tolist())
+    elif not math.isinf(q):
         local = local ** (1.0 / q)
     if math.isinf(p):
         return _times_pow2(float(local.max()), e)
-    return _times_pow2(float((np.sum(local**p) * cell * g.measure_scale) ** (1.0 / p)), e)
+    powers = local**p
+    return _root(float(np.sum(powers)) * cell * g.measure_scale, p, e, local, cell * g.measure_scale, powers)
 
 
 def compute_norm(

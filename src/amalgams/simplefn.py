@@ -11,6 +11,7 @@ nonnegative; a zero-valued cell adds nothing to any norm and is not stored.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,86 @@ def _times_pow2(x: float, e: int) -> float:
         return math.ldexp(x, e)
     except OverflowError:
         return INF
+
+
+RANGE_ERROR = "a sum of this norm loses digits past the float range"
+
+
+def _lost_digits(powers, weights, totals: list[float], starts=(0,)) -> list[int]:
+    """The segments k whose plain sum totals[k] of the terms powers * weights
+    (segment k starts at starts[k]) lost digits that can move it: it is not
+    finite, or its terms with a factor or product below the normal range,
+    zero included, each bounded by its factors raised to 2 _TINY plus _TINY,
+    add up to more than 2**-54 of it.  The bound is skipped by one fast test:
+    no factor below _TINY (a min per array), or, for one weight w >= _TINY,
+    every term within that bound, 2 _TINY max(w, 1) + _TINY, still holds."""
+    if isinstance(weights, float):
+        n = len(powers) * (2.0 * _TINY * max(weights, 1.0) + _TINY)
+        fast = weights >= _TINY and n <= 2.0**-54 * min(totals)
+    elif len(powers):
+        lp = float(powers.min()) if isinstance(powers, np.ndarray) else min(powers)
+        lw = float(weights.min()) if isinstance(weights, np.ndarray) else min(weights)
+        fast = lp >= _TINY and lw >= _TINY and lp * lw >= _TINY
+    else:
+        fast = True
+    if fast:
+        return [] if max(totals) < INF else [k for k, t in enumerate(totals) if not t < INF]
+    powers, weights = np.broadcast_arrays(np.asarray(powers, dtype=float), weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the range has a total of inf
+        lossy = np.minimum(np.minimum(powers, weights), powers * weights) < _TINY
+        bound = np.maximum(powers, 2.0 * _TINY) * np.maximum(weights, 2.0 * _TINY) + _TINY
+    lost = np.add.reduceat(np.where(lossy, bound, 0.0), starts).tolist()
+    return [k for k, (t, b) in enumerate(zip(totals, lost)) if not (t < INF and b <= 2.0**-54 * t)]
+
+
+def _power_sums(x, a: float, w, starts=(0,), root: bool = True) -> list[float]:
+    """(sum of w x^a)^(1/a) over each segment of the terms (from starts[k];
+    the sum itself where not root), for x, w >= 0 at any scale, a >= 1.
+
+    Each term is held as m 2**k, k an integer.  With x = mx 2**ex (frexp),
+    x^a = mx^a 2**(a ex), and a is cut into two halves of 26 bits
+    (Veltkamp) whose products with ex are exact, so only fractions below 2
+    are rounded; above a = 512 a is halved, exactly, and the term squared
+    back as often.  A segment is summed by fsum against its largest k, and
+    the root of 2**k splits off n = floor(k/a) by the same halves.  A weight
+    below _TINY has lost digits: those terms, taken at the weight 2 _TINY,
+    must stay under 2**-54 of all the sums, or they are refused."""
+    h = max(0, math.frexp(a)[1] - 9)
+    b = math.ldexp(a, -h)  # a / 2**h < 512
+    c = 134217729.0 * b  # 2**27 + 1
+    hi = c - (c - b)
+    lo = b - hi
+
+    def split(xi: float, wi: float) -> tuple[float, int]:
+        if not xi > 0.0:
+            return 0.0, 0
+        mx, ex = math.frexp(xi)
+        u, v = hi * ex, lo * ex
+        ku, kv = math.floor(u), math.floor(v)
+        m, k = mx**b * 2.0 ** ((u - ku) + (v - kv)), ku + kv
+        for _ in range(h):
+            m, j = math.frexp(m)
+            m, k = m * m, 2 * (k + j)
+        mw, ew = math.frexp(wi)
+        return m * mw, k + ew
+
+    def fsum_at(terms: list[tuple[float, int]], top: int) -> float:
+        return math.fsum(math.ldexp(m, k - top) for m, k in terms)
+
+    w = [w] * len(x) if isinstance(w, float) else w
+    terms = [split(xi, wi) for xi, wi in zip(x, w)]
+    lossy = [split(xi, 2.0 * _TINY) for xi, wi in zip(x, w) if wi < _TINY]
+    top = max((k for m, k in terms + lossy if m > 0.0), default=0)
+    if fsum_at(lossy, top) > 2.0**-54 * fsum_at(terms, top):
+        raise ValueError(RANGE_ERROR)
+    out = []
+    for i, j in zip(starts, [*starts[1:], len(terms)]):
+        top = max((k for m, k in terms[i:j] if m > 0.0), default=0)
+        total = fsum_at(terms[i:j], top)
+        n = math.floor(top / a)  # top - n a = 2**h (top 2**-h - n hi - n lo)
+        g = (math.ldexp(top, -h) - n * hi - n * lo) / b
+        out.append(_times_pow2(total ** (1.0 / a) * 2.0**g, n) if root else _times_pow2(total, top))
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,14 +254,46 @@ def indicator(group: GroupDescriptor, lo, hi, value: float = 1.0) -> SimpleFunct
     return simple_function(group, [(lo, hi, value)])
 
 
+def _root(total: float, a: float, e: int, x, w, powers) -> float:
+    """total**(1/a) * 2**e where the plain sum total of powers * w lost no
+    digits that matter, else :func:`_power_sums` of x (the values scaled by
+    2**-e) and w, scaled back."""
+    if not _lost_digits(powers, w, [total]):
+        return _times_pow2(total ** (1.0 / a), e)
+    return _times_pow2(_power_sums(x, a, w)[0], e)
+
+
+def _check_measures(f: SimpleFunction, q: float) -> None:
+    """Raise RANGE_ERROR where the cells whose measure underflowed (below
+    _TINY; validation keeps every cell nonempty) can move the sum of v^q
+    times measure, which a norm summing pieces or overlaps of them loses."""
+    measures = [c.measure for c in f.cells]
+    if q < INF and min(measures, default=INF) < _TINY:
+        _power_sums([c.value for c in f.cells], q, measures)
+
+
+def _cells_hold(f: SimpleFunction, q: float, powers: list[float]) -> bool:
+    """Whether the plain sums of a norm's first level, each cell's power (of
+    its value scaled by 2**-e) times its pieces' or overlaps' measures, keep
+    every digit that matters, judged on the cells' own measures, which
+    bound them; where not, the cells of measure 0.0 are checked first."""
+    measures = [c.measure for c in f.cells]
+    if not _lost_digits(powers, measures, [sum(map(operator.mul, powers, measures))]):
+        return True
+    _check_measures(f, q)
+    return False
+
+
 def lebesgue_norm(f: SimpleFunction, q: float) -> float:
     """Exact L^q norm: closed-form sum for q < inf, max value at q = inf."""
     q = _check_exponent(q)
     if math.isinf(q):
         return f.max_value
     e = _unit_exponent(f.max_value, q)
-    total = sum(c.measure * math.ldexp(c.value, -e) ** q for c in f.cells)
-    return _times_pow2(total ** (1.0 / q), e)
+    values = [math.ldexp(c.value, -e) for c in f.cells]
+    powers = [v**q for v in values]
+    measures = [c.measure for c in f.cells]
+    return _root(sum(m * v for m, v in zip(measures, powers)), q, e, values, measures, powers)
 
 
 def distribution_at(f: SimpleFunction, s: float) -> float:
@@ -250,52 +363,29 @@ def lorentz_norm(f: SimpleFunction, q: float, p: float) -> float:
             v * prof.breakpoints[i + 1] ** (1.0 / q)
             for i, v in enumerate(prof.values)
         )
-    if math.isinf(prof.breakpoints[-1]):  # a positive value on infinite measure
-        return INF
     s = p / q
-    e = _unit_exponent(prof.values[0], p)
-    total = lost = 0.0
-    for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:]):
-        try:
-            vp, a, b = math.ldexp(v, -e) ** p, t0**s, t1**s
-        except OverflowError:
-            return _lorentz_by_terms(prof, p, s)
-        term = vp * (b - a)
-        # a factor or term below the normal range has lost digits: bound the
-        # term by its factors raised to 2 * _TINY, plus _TINY for the rounding
-        # of that product (t0 == t1, or equal normal powers, is a true 0)
-        if t0 < t1 and not (min(vp, b - a, term) >= _TINY or a == b >= _TINY):
-            lost += max(vp, 2.0 * _TINY) * max(b - a, 2.0 * _TINY) + _TINY
-        total += term
-    # a term past the float range, or lost digits that can move the total
-    if not total < INF or lost > 2.0**-54 * total:
-        return _lorentz_by_terms(prof, p, s)
-    return _times_pow2(total ** (1.0 / p), e)
+    if math.frexp(prof.breakpoints[-1])[1] * s <= 1023:  # every t**s is finite
+        e = _unit_exponent(prof.values[0], p)
+        vp = [math.ldexp(v, -e) ** p for v in prof.values]
+        ts = [t**s for t in prof.breakpoints]
+        gaps = [b - a for a, b in zip(ts, ts[1:])]
+        total = sum(x * y for x, y in zip(vp, gaps))
+        if not _lost_digits(vp, gaps, [total]):
+            return _times_pow2(total ** (1.0 / p), e)
+    _check_measures(f, q)  # a cell of measure 0.0 has no step
+    bases, gaps = _lorentz_steps(prof, q, p)
+    return _power_sums(bases, p, gaps)[0]
 
 
-def _lorentz_by_terms(prof: StepProfile, p: float, s: float) -> float:
-    """The finite-(q, p) Lorentz norm (sum of v^p (t1^s - t0^s))^(1/p), s =
-    p/q, for steps whose powers leave the normal float range.
-
-    Each term is held as m * 2**k, k an integer: v and t1 are split by
-    frexp, t1^s - t0^s is t1^s (1 - (t0/t1)^s), and the exponent x = p
-    log2 v + s log2 t1 is summed from its integer and fractional parts, so
-    no power over- or underflows; the terms are then summed against the
-    largest k.
-    """
-    terms = []
-    for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:]):
-        mv, ev = math.frexp(v)
-        mt, et = math.frexp(t1)
-        x = ev * p + et * s + (p * math.log2(mv) + s * math.log2(mt))
-        ratio = t0 / t1
-        gap = -math.expm1(s * math.log(ratio)) if ratio > 0.0 else 1.0
-        k = math.floor(x)
-        terms.append((gap * 2.0 ** (x - k), k))
-    top = max(k for m, k in terms if m > 0.0)  # the first term's gap is 1
-    total = math.fsum(math.ldexp(m, k - top) for m, k in terms)
-    j = math.floor(top / p)
-    return _times_pow2(total ** (1.0 / p) * 2.0 ** (top / p - j), j)
+def _lorentz_steps(prof: StepProfile, q: float, p: float) -> tuple[list[float], list[float]]:
+    """The bases v t1^(1/q) and the gaps 1 - (t0/t1)^(p/q) of the steps of
+    positive width: the sum of gap * base**p is the p-th power of the
+    finite-(q, p) Lorentz norm.  No base exceeds the norm, so a base past
+    the float range is a norm past it."""
+    bp = prof.breakpoints
+    steps = [(v * t1 ** (1.0 / q), t0 / t1) for v, t0, t1 in zip(prof.values, bp, bp[1:]) if t0 < t1]
+    s = p / q
+    return [x for x, _ in steps], [-math.expm1(s * math.log(r)) if r > 0 else 1.0 for _, r in steps]
 
 
 def scale(f: SimpleFunction, factor: float) -> SimpleFunction:

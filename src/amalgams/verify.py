@@ -337,25 +337,6 @@ def damped_tail_check(
 # -- suite configuration ------------------------------------------------------
 
 
-ALL_CRITERIA = (
-    "diagonal-identity",
-    "fubini-identity",
-    "partition-ball-equivalence",
-    "lebesgue-embedding",
-    "holder-product",
-    "alpha-endpoint-sandwiches",
-    "exponent-monotonicity",
-    "kolmogorov-bound",
-    "weak-lorentz-embedding",
-    "degeneracy-slopes",
-    "sparse-union",
-    "translate-counting",
-    "covering-limit",
-    "tail-norm-constant",
-    "damped-tail-bound",
-)
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 2024
@@ -800,6 +781,7 @@ CRITERIA: dict[str, Callable[[SuiteConfig], list[InequalityCase]]] = {
     "tail-norm-constant": check_tail_norm_constant,
     "damped-tail-bound": check_damped_tail_bound,
 }
+ALL_CRITERIA = tuple(CRITERIA)
 
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[InequalityCase]:

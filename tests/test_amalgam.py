@@ -239,17 +239,49 @@ def test_norms_of_extreme_multiples_scale_exactly(g, factor):
 
     for q in (1.0, 2.0, 3.5):
         same(lebesgue_norm(big, q), lebesgue_norm(f, q))
-    for q, p in ((2.0, 2.0), (1.0, 3.0), (2.0, INF)):
+    # q = p = 1100 and p = 2000 take powers past the float range, which the
+    # plain sums lose; the line's ball sweep raises there instead
+    for q in (1100.0, 2000.0):
+        same(lebesgue_norm(big, q), lebesgue_norm(f, q))
+    for q, p in ((2.0, 2.0), (1.0, 3.0), (2.0, INF), (1100.0, 1100.0), (2.0, 2000.0)):
         same(lorentz_norm(big, q, p), lorentz_norm(f, q, p))
-    for q, p in ((2.0, 2.0), (INF, 2.0), (1.5, 3.0), (2.0, INF)):
+    for q, p in ((2.0, 2.0), (INF, 2.0), (1.5, 3.0), (2.0, INF), (1100.0, 1100.0), (2.0, 2000.0)):
         same(partition_norm(big, part, q, p), partition_norm(f, part, q, p))
-    for q, p in ((2.0, 2.0), (INF, 2.0), (1.5, INF)):
+    for q, p in ((2.0, 2.0), (INF, 2.0), (1.5, INF)) + ((1100.0, 1100.0), (2.0, 2000.0)) * (g.d > 1):
         same(ball_norm(big, g, 0.5, q, p), ball_norm(f, g, 0.5, q, p))
     x = g.identity()
     same(conv_q_indicator(big, 1.0, 0.5, x), conv_q_indicator(f, 1.0, 0.5, x))
     # the q-th power of a norm: (1e150)^2 f's integral is 1e300 times f's
     root = scale(f, math.sqrt(factor))
     same(conv_q_indicator(root, 2.0, 0.5, x), conv_q_indicator(f, 2.0, 0.5, x))
+
+
+ONE = line_fn((0.0, 2.0, 1.0))  # value 1 on measure 1
+THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
+
+
+@pytest.mark.parametrize(
+    "norm, want, may_raise",
+    [
+        (lambda: lebesgue_norm(ONE, 1100.0), 1.0, False),
+        (lambda: conv_q_indicator(ONE, 1100.0, 1.0, (0.5,)), 0.75, False),
+        (lambda: partition_norm(ONE, partition_for(ONE, REAL_LINE, 1.0), 1100.0, 1100.0), 1.0, True),
+        (lambda: ball_norm(ONE, REAL_LINE, 1.0, 1100.0, 1100.0), 1.0, True),
+        (lambda: partition_norm(ONE, partition_for(ONE, REAL_LINE, 0.3), 2.0, 2000.0), 0.2742127242198547, True),
+        (lambda: partition_norm(THIN, partition_for(THIN, REAL_LINE, 1.0), 1.0, 4.0), 1e-100, True),
+        (lambda: ball_norm(THIN, REAL_LINE, 1e-100, 1.0, 4.0), 7.952707287670507e-126, True),
+    ],
+    ids=["lebesgue", "conv", "partition", "ball", "partition-p2000", "thin-partition", "thin-ball"],
+)
+def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):
+    """Each norm gives its value, or, where one of its levels is no power
+    sum (the two-level norms), the float-range error; never 0.0 or inf."""
+    try:
+        got = norm()
+    except ValueError as exc:
+        assert may_raise and "float range" in str(exc)
+        return
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_conv_q_indicator_beyond_the_float_range_is_inf():

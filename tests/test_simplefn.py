@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,52 @@ def test_lorentz_at_any_scale_matches_the_exact_sum(steps, ps):
         assert got == INF
     elif want > math.log(sys.float_info.min) + 1e-9 and want < math.log(sys.float_info.max) - 1e-9:
         assert math.log(got) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def _decimal_lorentz(prof, q, p):
+    """The finite-(q, p) Lorentz norm of the profile, exact to 60 digits: the
+    sum of v^p (t1^s - t0^s), s = p/q, and its root in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(p) / Decimal(q)
+        total = sum(
+            Decimal(v) ** Decimal(p) * (Decimal(t1) ** s - Decimal(t0) ** s)
+            for v, t0, t1 in zip(prof.values, prof.breakpoints, prof.breakpoints[1:])
+        )
+        return total ** (1 / Decimal(p))
+
+
+def _kernel_lorentz(prof, q, p):
+    """The Lorentz norm as lorentz_norm takes it where the plain sum fails."""
+    bases, gaps = simplefn._lorentz_steps(prof, q, p)
+    return simplefn._power_sums(bases, p, gaps)[0]
+
+
+def _kernel_profiles():
+    """Seeded steps of width and value 10^u, u uniform in [-150, 150], at q
+    with exact 1/q and p/q; p = 1.1 and 7.5 split a*exponent(x) (Veltkamp),
+    p = 1100 halves a.  First comes a two-step profile whose small term
+    underflows after the value shift."""
+    yield [(1e-6, 1e-20), (1.0, 1e20)], 1.0, 7.5
+    rng = np.random.default_rng(2017)
+    for _ in range(300):
+        steps = 10.0 ** rng.uniform(-150.0, 150.0, (rng.integers(1, 6), 2))
+        yield steps.tolist(), float(rng.choice([1.0, 2.0, 4.0])), float(rng.choice([1.0, 1.1, 2.0, 7.5, 1100.0]))
+
+
+def test_power_sum_kernel_is_within_4_ulp_of_the_exact_lorentz_norm():
+    checked = 0
+    for steps, q, p in _kernel_profiles():
+        prof = rearrangement(_contiguous(steps))
+        want = _decimal_lorentz(prof, q, p)
+        if not Decimal(sys.float_info.min) < want < Decimal(sys.float_info.max):
+            continue
+        ulps = abs(Decimal(_kernel_lorentz(prof, q, p)) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= 4, (steps, q, p, float(ulps))
+        checked += 1
+    assert checked > 150
+    prof = rearrangement(_contiguous([(1e-6, 1e-20), (1.0, 1e20)]))
+    assert _kernel_lorentz(prof, 1.0, 7.5) == 4.999999999999999e19
 
 
 def test_lorentz_rejects_infinite_q_finite_p():
