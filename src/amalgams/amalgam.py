@@ -11,6 +11,14 @@ midpoint mesh in y (with an exact or semi-exact overlap per mesh point)
 is used and the mesh is reported alongside the value.  The y-domain is
 always clipped to the inflated support neighbourhood, which is exact
 because the integrand vanishes outside it.
+
+Neither the partition pieces nor the ball-mesh overlaps depend on the
+exponents, so each call leaves its blocks of them for the next one
+(:func:`_replay`): one slot per kind holds the last call's function, key
+(the lattice steps, or the radius and mesh, with the work caps) and blocks,
+and a call on the same function object with an equal key sums the saved
+blocks under its own (q, p).  Only streams of at most ``MEMO_PIECES`` rows
+are kept.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BLOCK_PIECES, MAX_PIECES, GroupDescriptor, Point
+from . import groups
+from .groups import BLOCK_PIECES, GroupDescriptor, Point
 from .partitions import UniformPartition
 from .simplefn import (
     RANGE_ERROR,
@@ -78,26 +87,94 @@ def partition_norm(
     _require_support_in_window(f, part)
     if f.is_zero():
         return 0.0
-    return _partition_sums(f, q, p, 1, part.intersections_with_box)[0]
+    return _partition_sums(f, q, p, np.array([part.steps]), part.intersections_with_box)[0]
 
 
-def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, pieces_of) -> list[float]:
-    """The partition norms of a nonzero f at radii 0..n-1 from the blocks
-    of whole radii (radius, box, cell index, measure) that ``pieces_of(lo,
-    hi)`` cuts from its cells.  A stable group-by keeps each cell's pieces
-    in stream order, where np.bincount sums them one after another; the
-    per-cell powers and the sum over cells stay in Python (libm's powers,
-    fsum).  Where the cells' sums lose digits (:func:`_cells_hold`), the
-    local norms are taken by :func:`_power_sums` instead.  A radius without
-    pieces has norm 0."""
+# -- the last call's exponent-free blocks -------------------------------------
+
+# Most rows (pieces, or ball-mesh rows) the blocks of one call may hold to be
+# kept for the next call; a longer stream is made anew on every call.  The
+# repeated calls of the benchmark's workloads stream at most about 8k rows;
+# the fracnorms of 1k-2k cell functions stream 34k and more, and keeping
+# those (at 2**16) raised peak memory by 1.4 MB for no reuse.
+MEMO_PIECES = 1 << 14
+# One slot per kind of block stream: (function, key, blocks) of the last call.
+_SLOTS: dict[str, tuple] = {}
+
+
+def _replay(kind: str, f: SimpleFunction, key: tuple, make):
+    """The blocks of ``make()``, which depend on f and key alone.
+
+    When the slot of ``kind`` holds the same f (by identity) and an equal
+    key, its saved blocks are yielded instead.  Otherwise the slot is
+    emptied and make's blocks are yielded as they are made; they fill the
+    slot only once all of them are out and their first arrays hold at most
+    MEMO_PIECES rows together, so a stream that is larger, or whose
+    consumer stops early or raises, saves nothing.  Consumers must not
+    write to the blocks."""
+    slot = _SLOTS.get(kind)
+    if slot is not None and slot[0] is f and slot[1] == key:
+        yield from slot[2]
+        return
+    _SLOTS.pop(kind, None)
+    saved, rows = [], 0
+    for block in make():
+        if saved is not None:
+            rows += len(block[0])
+            if rows <= MEMO_PIECES:
+                saved.append(block)
+            else:
+                saved = None
+        yield block
+    if saved is not None:
+        _SLOTS[kind] = (f, key, saved)
+
+
+def _caps() -> tuple[int, int]:
+    """The work caps a stream is made under, for every key: a replay then
+    yields the blocks, and raises, exactly where a new stream would."""
+    return groups.MAX_PIECES, groups.BLOCK_PIECES
+
+
+def _partition_sums(f: SimpleFunction, q: float, p: float, steps: np.ndarray, pieces_of) -> list[float]:
+    """The partition norms of a nonzero f at the radii of the rows of
+    steps (their lattice steps) from the blocks of whole radii (radius,
+    box, cell index, measure) that ``pieces_of(lo, hi)`` cuts from its
+    cells, grouped by :func:`_sorted_pieces` and replayed for the next call
+    on f with the same steps.  np.bincount sums each cell's pieces one after
+    another; the per-cell powers and the sum over cells stay in Python
+    (libm's powers, fsum).  Where the cells' sums lose digits
+    (:func:`_cells_hold`), the local norms are taken by :func:`_power_sums`
+    instead.  A radius without pieces has norm 0."""
     e = _unit_exponent(f.max_value, q, p)
-    lo = np.array([c.lo for c in f.cells])
-    hi = np.array([c.hi for c in f.cells])
     vals = [math.ldexp(c.value, -e) for c in f.cells]
     powers = vals if math.isinf(q) else [x**q for x in vals]
     v = np.array(powers)
     plain = math.isinf(q) or _cells_hold(f, q, powers)
-    norms = [0.0] * n
+    norms = [0.0] * len(steps)
+    key = (steps.shape, steps.tobytes(), *_caps())
+    blocks = _replay("partition", f, key, lambda: _sorted_pieces(f, pieces_of))
+    for box, m, runs, starts, firsts, owners in blocks:
+        if math.isinf(q):
+            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0), starts).tolist()
+        elif plain:
+            sums = np.bincount(runs, weights=v[box] * m)
+            local = [a ** (1.0 / q) for a in sums.tolist()]
+        else:
+            local = _power_sums(np.array(vals)[box], q, m, starts.tolist())
+        for j, norm in zip(owners, _cells_norms(local, firsts, p, e)):
+            norms[j] = norm
+    return norms
+
+
+def _sorted_pieces(f: SimpleFunction, pieces_of):
+    """The nonempty blocks of ``pieces_of`` for the cells of f, grouped by
+    (radius, cell index) with a stable sort, so that each cell's pieces stay
+    in stream order: (box, measure, run id of each piece, first piece of
+    each run, first run of each radius (a list), radius of those runs (a
+    list))."""
+    lo = np.array([c.lo for c in f.cells])
+    hi = np.array([c.hi for c in f.cells])
     for radius, box, idx, m in pieces_of(lo, hi):
         if not len(radius):
             continue
@@ -107,17 +184,8 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, pieces_of) ->
         new[1:] = (radius[1:] != radius[:-1]) | np.any(idx[1:] != idx[:-1], axis=1)
         starts = np.flatnonzero(new)
         owner = radius[starts]
-        firsts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]  # each radius' first cell
-        if math.isinf(q):
-            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0)[order], starts).tolist()
-        elif plain:
-            sums = np.bincount(np.cumsum(new) - 1, weights=(v[box] * m)[order])
-            local = [a ** (1.0 / q) for a in sums.tolist()]
-        else:
-            local = _power_sums(np.array(vals)[box[order]], q, m[order], starts.tolist())
-        for j, norm in zip(owner[firsts].tolist(), _cells_norms(local, firsts, p, e)):
-            norms[j] = norm
-    return norms
+        firsts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]
+        yield box[order], m[order], np.cumsum(new) - 1, starts, firsts, owner[firsts].tolist()
 
 
 def _cells_norms(local: list[float], firsts: list[int], p: float, e: int) -> list[float]:
@@ -345,10 +413,10 @@ def _ball_norm_quadrature(
     with np.errstate(all="ignore"):  # the y-mesh is counted before it is made
         n = np.maximum(2.0, np.ceil((hi - lo) / h))
         points = np.prod(n)
-    if not points <= MAX_PIECES:
+    if not points <= groups.MAX_PIECES:
         raise ValueError(
             f"the ball quadrature at r = {r}, mesh = {mesh} needs {points:.4g} y-points, "
-            f"more than {MAX_PIECES}"
+            f"more than {groups.MAX_PIECES}"
         )
     step = (hi - lo) / n  # midpoints of n equal steps per axis
     cell = math.prod(step.tolist())
@@ -357,16 +425,20 @@ def _ball_norm_quadrature(
             f"the ball quadrature at r = {r}, mesh = {mesh} has y-cells of volume "
             f"{cell:.4g}, past the float range"
         )
-    axes = [a + (np.arange(k) + 0.5) * s for a, k, s in zip(lo, n.astype(int), step)]
+
+    def mesh_rows():  # each cell's (ids, overlap), replayed for the next call at (r, mesh)
+        axes = [a + (np.arange(k) + 0.5) * s for a, k, s in zip(lo, n.astype(int), step)]
+        # 8 x 8 inner (w1, w2) grid on the Heisenberg group
+        return (g.geometry.ball_mesh_rows(axes, r, c.lo, c.hi, 8) for c in f.cells)
+
     local = np.zeros(int(points))  # one value per y-point, in meshgrid "ij" order
     e = _unit_exponent(f.max_value, q, p)
     vals = [math.ldexp(c.value, -e) for c in f.cells]
     vq = vals if math.isinf(q) else [v**q for v in vals]
     plain = math.isinf(q) or _cells_hold(f, q, vq)
     rows = []  # otherwise each y-point's (value, overlap) terms, for _power_sums
-    for c, v, w in zip(f.cells, vals, vq):
-        # 8 x 8 inner (w1, w2) grid on the Heisenberg group
-        ids, overlap = g.geometry.ball_mesh_rows(axes, r, c.lo, c.hi, 8)
+    # the replay comes first in zip, so that it runs to its end and is saved
+    for (ids, overlap), v, w in zip(_replay("ball", f, (r, mesh, *_caps()), mesh_rows), vals, vq):
         if math.isinf(q):
             local[ids] = np.maximum(local[ids], np.where(overlap > 0.0, v, 0.0))
         elif plain:

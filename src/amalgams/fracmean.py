@@ -187,7 +187,7 @@ def _partition_norms(
     p = _check_exponent(p)
     if f.is_zero():
         return [0.0] * len(radii)
-    return _partition_sums(f, q, p, len(radii), lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
+    return _partition_sums(f, q, p, steps, lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
 
 
 @dataclass(frozen=True)
