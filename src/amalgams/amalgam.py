@@ -247,20 +247,6 @@ def conv_q_indicator(
 # -- ball norm ---------------------------------------------------------------
 
 
-def _check_ball_args(
-    f: SimpleFunction, g: GroupDescriptor, radii: list[float], q: float, p: float, mesh: float | None
-) -> tuple[float, float]:
-    q = _check_exponent(q)
-    p = _check_exponent(p)
-    if not all(0 < r < math.inf for r in radii):
-        raise ValueError("ball radius must be positive and finite")
-    if mesh is not None and not 0 < mesh < math.inf:
-        raise ValueError("mesh must be positive and finite")
-    if f.group.name != g.name:
-        raise ValueError("function group does not match the requested group")
-    return q, p
-
-
 def ball_norm(
     f: SimpleFunction,
     g: GroupDescriptor,
@@ -270,12 +256,7 @@ def ball_norm(
     mesh: float | None = None,
 ) -> float:
     """The y-integral form of the amalgam norm at ball radius r."""
-    q, p = _check_ball_args(f, g, [r], q, p, mesh)
-    if f.is_zero():
-        return 0.0
-    if g.d == 1:  # the y-integrand is piecewise linear: exact sweep
-        return _ball_norm_line(f, [r], q, p)[0]
-    return _ball_norm_quadrature(f, g, r, q, p, mesh if mesh is not None else r / 3.0)
+    return _ball_norms(f, g, [r], q, p, mesh)[0]
 
 
 def ball_norms(
@@ -286,15 +267,33 @@ def ball_norms(
     p: float,
     mesh: float | None = None,
 ) -> list[float]:
-    """``ball_norm`` at every radius of radii; on the line the arguments
-    are checked once and one sweep serves every radius, bit-identical to
-    the single-radius calls."""
-    if g.d != 1:
-        return [ball_norm(f, g, r, q, p, mesh) for r in radii]
-    q, p = _check_ball_args(f, g, radii, q, p, mesh)
+    """``ball_norm`` at every radius of radii, the arguments checked once;
+    on the line one sweep serves every radius, bit-identical to the
+    single-radius calls."""
+    return _ball_norms(f, g, radii, q, p, mesh)
+
+
+def _ball_norms(
+    f: SimpleFunction, g: GroupDescriptor, radii: list[float], q: float, p: float, mesh: float | None
+) -> list[float]:
+    q = _check_exponent(q)
+    p = _check_exponent(p)
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError("ball radius must be positive and finite")
+    if mesh is not None and not 0 < mesh < math.inf:
+        raise ValueError("mesh must be positive and finite")
+    if f.group.name != g.name:
+        raise ValueError("function group does not match the requested group")
     if f.is_zero():
         return [0.0] * len(radii)
-    return _ball_norm_line(f, radii, q, p)
+    if g.d == 1:  # the y-integrand is piecewise linear: exact sweep
+        return _ball_norm_line(f, radii, q, p)
+    return [_ball_norm_quadrature(f, g, r, q, p, _ball_mesh(r, mesh)) for r in radii]
+
+
+def _ball_mesh(r: float, mesh: float | None) -> float:
+    """The y-mesh of the ball quadrature at radius r: r/3 unless given."""
+    return r / 3.0 if mesh is None else mesh
 
 
 def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -> list[float]:
@@ -481,7 +480,7 @@ def compute_norm(
     elif form == "ball":
         value = ball_norm(f, g, r, q, p, mesh)
         method = "exact" if exact else "quadrature"
-        used_mesh = None if exact else (mesh if mesh else r / 3.0)
+        used_mesh = None if exact else _ball_mesh(r, mesh)
         if math.isinf(p) and not exact:
             note = "essential sup over y realized as a mesh max"
     else:

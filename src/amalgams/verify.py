@@ -11,7 +11,7 @@ broken case abort the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,16 +51,7 @@ class InequalityCase:
     context: dict
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "margin": self.margin,
-            "status": self.status,
-            "tolerance": self.tolerance,
-            "context": self.context,
-        }
+        return asdict(self)
 
 
 def _scale_of(*vals: float) -> float:
@@ -74,21 +65,9 @@ def one_sided_case(
     tolerance: float = 0.0,
     context: dict | None = None,
 ) -> InequalityCase:
-    """Worst relative margin of lhs <= rhs * constant over the samples;
-    a NaN margin (a non-finite side) is the worst and fails."""
-    worst_m, worst = math.inf, (0.0, 0.0)
-    n = 0
-    for lhs, rhs in samples:
-        n += 1
-        m = (rhs * constant - lhs) / _scale_of(lhs, rhs * constant)
-        if m < worst_m or math.isnan(m):
-            worst_m, worst = m, (lhs, rhs)
-    if n == 0:
-        worst_m, worst = 0.0, (0.0, 0.0)
-    ctx = dict(context or {})
-    ctx["samples"] = n
-    status = "pass" if worst_m >= -tolerance else "fail"
-    return InequalityCase(case_id, worst[0], worst[1], constant, worst_m, status, tolerance, ctx)
+    """Worst relative margin of lhs <= rhs * constant over the samples."""
+    scored = (((rhs * constant - lhs) / _scale_of(lhs, rhs * constant), lhs, rhs) for lhs, rhs in samples)
+    return _worst_case(case_id, scored, constant, tolerance, context)
 
 
 def identity_case(
@@ -97,23 +76,29 @@ def identity_case(
     tolerance: float,
     context: dict | None = None,
 ) -> InequalityCase:
-    """Worst relative deviation of paired values that should agree; a NaN
-    deviation (a non-finite value) is the worst and fails."""
-    worst_d, worst = -math.inf, (0.0, 0.0)
+    """Worst relative deviation of paired values that should agree, as a
+    margin of minus the deviation."""
+    scored = ((-abs(a - b) / _scale_of(a, b), a, b) for a, b in samples)
+    return _worst_case(case_id, scored, 1.0, tolerance, context)
+
+
+def _worst_case(case_id, scored, constant, tolerance, context) -> InequalityCase:
+    """The case of the smallest margin over (margin, lhs, rhs) samples; the
+    first of equal margins is kept, and a NaN margin (a non-finite side) is
+    the worst and fails.  It passes iff that margin is >= -tolerance; no
+    samples give margin 0."""
+    worst_m, worst = math.inf, (0.0, 0.0)
     n = 0
-    for a, b in samples:
+    for m, lhs, rhs in scored:
         n += 1
-        d = abs(a - b) / _scale_of(a, b)
-        if d > worst_d or math.isnan(d):
-            worst_d, worst = d, (a, b)
+        if m < worst_m or math.isnan(m):
+            worst_m, worst = m, (lhs, rhs)
     if n == 0:
-        worst_d, worst = 0.0, (0.0, 0.0)
+        worst_m = 0.0
     ctx = dict(context or {})
     ctx["samples"] = n
-    status = "pass" if worst_d <= tolerance else "fail"
-    return InequalityCase(
-        case_id, worst[0], worst[1], 1.0, -worst_d, status, tolerance, ctx
-    )
+    status = "pass" if worst_m >= -tolerance else "fail"
+    return InequalityCase(case_id, *worst, constant, worst_m, status, tolerance, ctx)
 
 
 def misuse_case(case_id: str, reason: str, context: dict | None = None) -> InequalityCase:
@@ -222,7 +207,7 @@ def radial_power_fn(
             v = profile(math.sqrt(a * b)) if a > 0.0 else profile(0.5 * (a + b))
         else:
             raise ValueError(f"unknown sample rule {sample!r}")
-        errors.append(abs(profile(max(a, 1e-300)) - profile(b)) if a > 0.0 else abs(profile(0.0) - profile(b)))
+        errors.append(abs(profile(max(a, 1e-300) if a > 0.0 else 0.0) - profile(b)))
         cells.append(((a,), (b,), v))
         if a > 0.0:
             cells.append(((-b,), (-a,), v))
@@ -374,140 +359,113 @@ def _wide_grid(f: SimpleFunction) -> RadiusGrid:
     return RadiusGrid(_min_cell_extent(f) / 8.0, 32.0 * sc, 4)
 
 
+def _functions(
+    cfg: SuiteConfig, salt: int, n: int, max_cells: int, g: GroupDescriptor = REAL_LINE, window=None
+):
+    """A criterion's n seeded functions: function i has seed cfg.seed + salt * i
+    and 1 + i % max_cells cells in the window (the config's by default)."""
+    for i in range(n):
+        yield gen_random_simple(cfg.seed + salt * i, 1 + i % max_cells, window or cfg.window, g)
+
+
 # -- criteria -----------------------------------------------------------------
+#
+# Each criterion builds each of its functions once, with its grid or
+# partition, and evaluates every exponent on it, so that the amalgam memo
+# replays the exponent-free pieces; each case takes its own column of samples.
 
 
 def check_diagonal_identity(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
-    cases = []
-    for p in (1.0, 1.5, 2.0, 3.0, INF):
-        samples = []
-        for i in range(cfg.n_identity):
-            f = gen_random_simple(cfg.seed + i, 1 + i % 16, cfg.window, g)
-            r = 2.0 ** (i % 5 - 2)
-            part = partition_for(f, g, r)
-            samples.append((partition_norm(f, part, p, p), lebesgue_norm(f, p)))
-        cases.append(
-            identity_case(
-                f"diagonal-identity-p={p}", samples, 1e-12, {"group": g.name}
-            )
-        )
-    return cases
+    ps = (1.0, 1.5, 2.0, 3.0, INF)
+    cols = [[] for _ in ps]
+    for i, f in enumerate(_functions(cfg, 1, cfg.n_identity, 16)):
+        part = partition_for(f, g, 2.0 ** (i % 5 - 2))
+        for col, p in zip(cols, ps):
+            col.append((partition_norm(f, part, p, p), lebesgue_norm(f, p)))
+    return [
+        identity_case(f"diagonal-identity-p={p}", col, 1e-12, {"group": g.name})
+        for p, col in zip(ps, cols)
+    ]
 
 
 def check_fubini_identity(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
-    cases = []
-    for q in (1.0, 2.0, 3.0):
-        samples = []
-        for i in range(cfg.n_identity):
-            f = gen_random_simple(cfg.seed + 13 * i, 1 + i % 12, cfg.window, g)
-            r = 2.0 ** (i % 5 - 2)
-            samples.append(
-                (
-                    ball_norm(f, g, r, q, q),
-                    g.ball_measure(r) ** (1.0 / q) * lebesgue_norm(f, q),
-                )
-            )
-        cases.append(
-            identity_case(f"fubini-identity-q={q}", samples, 1e-9, {"group": g.name})
-        )
-    return cases
+    qs = (1.0, 2.0, 3.0)
+    cols = [[] for _ in qs]
+    for i, f in enumerate(_functions(cfg, 13, cfg.n_identity, 12)):
+        r = 2.0 ** (i % 5 - 2)
+        for col, q in zip(cols, qs):
+            col.append((ball_norm(f, g, r, q, q), g.ball_measure(r) ** (1.0 / q) * lebesgue_norm(f, q)))
+    return [
+        identity_case(f"fubini-identity-q={q}", col, 1e-9, {"group": g.name})
+        for q, col in zip(qs, cols)
+    ]
 
 
 def _equivalence_instance(
     cfg: SuiteConfig,
     g: GroupDescriptor,
-    q: float,
-    p: float,
-    n_functions: int,
+    pairs: Sequence[tuple[float, float]],
     radii: Sequence[float],
     window,
     max_cells: int,
 ) -> list[InequalityCase]:
     base_q, base_p = partition_constants(g)
-    upper_const = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
-    floor = 0.8 * (4.0 * g.gamma**2) ** (-g.rho * inv(p))
-    ratios = []
-    for i in range(n_functions):
-        f = gen_random_simple(cfg.seed + 31 * i, 1 + i % max_cells, window, g)
+    ratios = [[] for _ in pairs]
+    for f in _functions(cfg, 31, cfg.n_equivalence, max_cells, g, window):
         for r in radii:
-            bn = ball_norm(f, g, r, q, p)
             part = partition_for(f, g, r)
-            pn = partition_norm(f, part, q, p)
-            ratios.append(r ** (-g.rho * inv(p)) * bn / pn)
-    ctx = {
-        "group": g.name,
-        "q": q,
-        "p": p,
-        "observed_min": min(ratios),
-        "observed_max": max(ratios),
-        "empirical_floor": floor,
-    }
-    upper = one_sided_case(
-        f"partition-ball-equivalence-upper-{g.name}-q={q}-p={p}",
-        [(rr, upper_const) for rr in ratios],
-        1.0,
-        0.0,
-        ctx,
-    )
-    lower = one_sided_case(
-        f"partition-ball-equivalence-lower-{g.name}-q={q}-p={p}",
-        [(floor, rr) for rr in ratios],
-        1.0,
-        0.0,
-        ctx,
-    )
-    return [upper, lower]
+            for col, (q, p) in zip(ratios, pairs):
+                col.append(r ** (-g.rho * inv(p)) * ball_norm(f, g, r, q, p) / partition_norm(f, part, q, p))
+    cases = []
+    for (q, p), col in zip(pairs, ratios):
+        upper_const = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
+        floor = 0.8 * (4.0 * g.gamma**2) ** (-g.rho * inv(p))
+        ctx = {
+            "group": g.name,
+            "q": q,
+            "p": p,
+            "observed_min": min(col),
+            "observed_max": max(col),
+            "empirical_floor": floor,
+        }
+        name = f"{g.name}-q={q}-p={p}"
+        upper = [(rr, upper_const) for rr in col]
+        cases.append(one_sided_case(f"partition-ball-equivalence-upper-{name}", upper, 1.0, 0.0, ctx))
+        lower = [(floor, rr) for rr in col]
+        cases.append(one_sided_case(f"partition-ball-equivalence-lower-{name}", lower, 1.0, 0.0, ctx))
+    return cases
 
 
 def check_partition_ball_equivalence(cfg: SuiteConfig) -> list[InequalityCase]:
-    cases = []
     line_radii = [2.0**k for k in range(-2, 3)]
-    for q, p in ((1.0, 2.0), (2.0, 4.0)):
-        cases.extend(
-            _equivalence_instance(
-                cfg, REAL_LINE, q, p, cfg.n_equivalence, line_radii, cfg.window, 12
-            )
-        )
     heis_window = ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))
     heis_radii = [0.75 * 2.0**k for k in range(5)]
-    cases.extend(
-        _equivalence_instance(
-            cfg, HEISENBERG, 2.0, 4.0, cfg.n_equivalence, heis_radii, heis_window, 3
-        )
-    )
-    return cases
+    return _equivalence_instance(
+        cfg, REAL_LINE, ((1.0, 2.0), (2.0, 4.0)), line_radii, cfg.window, 12
+    ) + _equivalence_instance(cfg, HEISENBERG, ((2.0, 4.0),), heis_radii, heis_window, 3)
 
 
 def check_lebesgue_embedding(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
-    cases = []
-    for q, p, alpha in cfg.embedding_triples:
-        t = ExponentTriple(q, p, alpha)
-        if t.classify() != NONTRIVIAL:
-            cases.append(
-                misuse_case(
-                    f"lebesgue-embedding-{q}-{p}-{alpha}",
-                    f"triple classified {t.classify()}; the embedding needs q <= alpha <= p",
-                )
-            )
-            continue
-        samples = []
-        for i in range(cfg.n_embedding):
-            f = gen_random_simple(cfg.seed + 7 * i, 1 + i % 12, cfg.window, g)
-            res = fractional_norm_partition(f, g, t, default_grid(f))
-            samples.append((res.value, lebesgue_norm(f, alpha)))
-        cases.append(
-            one_sided_case(
-                f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}",
-                samples,
-                1.0,
-                1e-9,
-                {"group": g.name},
-            )
+    triples = {raw: ExponentTriple(*raw) for raw in cfg.embedding_triples}
+    cols = {raw: [] for raw, t in triples.items() if t.classify() == NONTRIVIAL}
+    for f in _functions(cfg, 7, cfg.n_embedding if cols else 0, 12):
+        grid = default_grid(f)
+        for raw, col in cols.items():
+            col.append((fractional_norm_partition(f, g, triples[raw], grid).value, lebesgue_norm(f, raw[2])))
+    return [
+        one_sided_case(
+            f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}", cols[q, p, alpha], 1.0, 1e-9, {"group": g.name}
         )
-    return cases
+        if (q, p, alpha) in cols
+        else misuse_case(
+            f"lebesgue-embedding-{q}-{p}-{alpha}",
+            f"triple classified {triples[q, p, alpha].classify()}; the embedding needs q <= alpha <= p",
+        )
+        for q, p, alpha in cfg.embedding_triples
+    ]
 
 
 HOLDER_SPLITTINGS = (
@@ -549,16 +507,13 @@ def check_holder_product(cfg: SuiteConfig) -> list[InequalityCase]:
 
 def check_alpha_endpoint_sandwiches(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
-    cases = []
     pairs = ((1.0, 2.0), (2.0, 4.0))
     base_q, base_p = partition_constants(g)
-    for q, p in pairs:
-        cq = base_q ** (g.rho * (inv(q) - inv(p)))
-        cp = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
-        low_q, up_q, low_p, up_p = [], [], [], []
-        for i in range(cfg.n_sandwich):
-            f = gen_random_simple(cfg.seed + 17 * i, 1 + i % 10, cfg.window, g)
-            grid = _wide_grid(f)
+    # per pair the columns of alpha = q (upper, lower), then of alpha = p
+    cols = [[[] for _ in range(4)] for _ in pairs]
+    for f in _functions(cfg, 17, cfg.n_sandwich, 10):
+        grid = _wide_grid(f)
+        for (q, p), (low_q, up_q, low_p, up_p) in zip(pairs, cols):
             nq = lebesgue_norm(f, q)
             np_ = lebesgue_norm(f, p)
             vq = fractional_norm_partition(f, g, ExponentTriple(q, p, q), grid).value
@@ -567,18 +522,16 @@ def check_alpha_endpoint_sandwiches(cfg: SuiteConfig) -> list[InequalityCase]:
             up_q.append((nq, vq))
             low_p.append((vp, np_))
             up_p.append((np_, vp))
-        cases.append(
-            one_sided_case(f"alpha-eq-q-upper-q={q}-p={p}", low_q, 1.0, 1e-9)
-        )
-        cases.append(
-            one_sided_case(f"alpha-eq-q-lower-q={q}-p={p}", up_q, cq, 1e-9, {"constant": cq})
-        )
-        cases.append(
-            one_sided_case(f"alpha-eq-p-upper-q={q}-p={p}", low_p, 1.0, 1e-9)
-        )
-        cases.append(
-            one_sided_case(f"alpha-eq-p-lower-q={q}-p={p}", up_p, cp, 1e-9, {"constant": cp})
-        )
+    cases = []
+    for (q, p), (low_q, up_q, low_p, up_p) in zip(pairs, cols):
+        cq = base_q ** (g.rho * (inv(q) - inv(p)))
+        cp = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
+        cases += [
+            one_sided_case(f"alpha-eq-q-upper-q={q}-p={p}", low_q, 1.0, 1e-9),
+            one_sided_case(f"alpha-eq-q-lower-q={q}-p={p}", up_q, cq, 1e-9, {"constant": cq}),
+            one_sided_case(f"alpha-eq-p-upper-q={q}-p={p}", low_p, 1.0, 1e-9),
+            one_sided_case(f"alpha-eq-p-lower-q={q}-p={p}", up_p, cp, 1e-9, {"constant": cp}),
+        ]
     return cases
 
 
@@ -587,8 +540,7 @@ def check_exponent_monotonicity(cfg: SuiteConfig) -> list[InequalityCase]:
     q1, p1, alpha, q2, p2 = 1.0, 4.0, 2.0, 2.0, 3.0
     const = (1.0 / (2.0 * g.gamma)) ** (g.rho * (inv(q1) - inv(q2)))
     samples = []
-    for i in range(cfg.n_monotonicity):
-        f = gen_random_simple(cfg.seed + 23 * i, 1 + i % 10, cfg.window, g)
+    for f in _functions(cfg, 23, cfg.n_monotonicity, 10):
         grid = default_grid(f)
         lhs = fractional_norm_partition(f, g, ExponentTriple(q1, p1, alpha), grid).value
         rhs = fractional_norm_partition(f, g, ExponentTriple(q2, p2, alpha), grid).value
@@ -604,52 +556,40 @@ def check_exponent_monotonicity(cfg: SuiteConfig) -> list[InequalityCase]:
     ]
 
 
+# (q, alpha) of the Kolmogorov bound and of the weak-Lorentz embedding
+WEAK_PAIRS = ((1.0, 2.0), (2.0, 3.0))
+
+
+def _weak_cases(name: str, cols: list) -> list[InequalityCase]:
+    cases = []
+    for (q, alpha), col in zip(WEAK_PAIRS, cols):
+        const = (alpha / (alpha - q)) ** (1.0 / q)
+        cases.append(one_sided_case(f"{name}-q={q}-alpha={alpha}", col, const, 1e-9, {"constant": const}))
+    return cases
+
+
 def check_kolmogorov_bound(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
-    cases = []
-    for q, alpha in ((1.0, 2.0), (2.0, 3.0)):
-        const = (alpha / (alpha - q)) ** (1.0 / q)
-        samples = []
-        for i in range(cfg.n_kolmogorov):
-            f = gen_random_simple(cfg.seed + 29 * i, 1 + i % 12, cfg.window, g)
+    cols = [[] for _ in WEAK_PAIRS]
+    for f in _functions(cfg, 29, cfg.n_kolmogorov, 12):
+        radii = default_grid(f).radii()
+        for col, (q, alpha) in zip(cols, WEAK_PAIRS):
             weak = lorentz_norm(f, alpha, INF)
-            for r in default_grid(f).radii():
+            for r in radii:
                 lhs = conv_q_indicator(f, q, r, g.identity()) ** (1.0 / q)
-                rhs = weak * g.ball_measure(r) ** (1.0 / q - 1.0 / alpha)
-                samples.append((lhs, rhs))
-        cases.append(
-            one_sided_case(
-                f"kolmogorov-bound-q={q}-alpha={alpha}",
-                samples,
-                const,
-                1e-9,
-                {"constant": const},
-            )
-        )
-    return cases
+                col.append((lhs, weak * g.ball_measure(r) ** (1.0 / q - 1.0 / alpha)))
+    return _weak_cases("kolmogorov-bound", cols)
 
 
 def check_weak_lorentz_embedding(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
-    cases = []
-    for q, alpha in ((1.0, 2.0), (2.0, 3.0)):
-        const = (alpha / (alpha - q)) ** (1.0 / q)
-        t = ExponentTriple(q, INF, alpha)
-        samples = []
-        for i in range(cfg.n_weak_embedding):
-            f = gen_random_simple(cfg.seed + 41 * i, 1 + i % 12, cfg.window, g)
-            lhs = fractional_norm_ball(f, g, t, default_grid(f)).value
-            samples.append((lhs, lorentz_norm(f, alpha, INF)))
-        cases.append(
-            one_sided_case(
-                f"weak-lorentz-embedding-q={q}-alpha={alpha}",
-                samples,
-                const,
-                1e-9,
-                {"constant": const},
-            )
-        )
-    return cases
+    cols = [[] for _ in WEAK_PAIRS]
+    for f in _functions(cfg, 41, cfg.n_weak_embedding, 12):
+        grid = default_grid(f)
+        for col, (q, alpha) in zip(cols, WEAK_PAIRS):
+            lhs = fractional_norm_ball(f, g, ExponentTriple(q, INF, alpha), grid).value
+            col.append((lhs, lorentz_norm(f, alpha, INF)))
+    return _weak_cases("weak-lorentz-embedding", cols)
 
 
 def check_degeneracy_slopes(cfg: SuiteConfig) -> list[InequalityCase]:
@@ -734,8 +674,7 @@ def check_translate_counting(cfg: SuiteConfig) -> list[InequalityCase]:
 def check_covering_limit(cfg: SuiteConfig) -> list[InequalityCase]:
     g = REAL_LINE
     mono, attain = [], []
-    for i in range(cfg.n_limit):
-        f = gen_random_simple(cfg.seed + 43 * i, 1 + i % 10, cfg.window, g)
+    for i, f in enumerate(_functions(cfg, 43, cfg.n_limit, 10)):
         q = (1.0, 2.0, 3.0)[i % 3]
         bb = f.bounding_box()
         cover_r = 1.01 * (bb[0][1] - bb[0][0]) / 2.0

@@ -255,6 +255,40 @@ def test_verify_bad_config_key(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"n_identity": "x"},
+        {"n_identity": 2.5},
+        {"n_identity": True},
+        {"n_identity": -3},
+        {"n_equivalence": 0},
+        {"n_translates": None},
+        {"seed": "s"},
+        {"seed": False},
+        {"seed": -1},
+        {"max_levels": 0},
+        {"max_levels": 7.0},
+        {"window": [[1, -1]]},
+        {"window": [[0, 0]]},
+        {"window": [[0, math.inf]]},
+        {"window": [[0, 1], [0, 1]]},
+        {"window": [[0, 1, 2]]},
+        {"window": [["a", 1]]},
+        {"window": 4},
+    ],
+    ids=lambda raw: json.dumps(raw),
+)
+def test_verify_config_that_cannot_run(capsys, tmp_path, raw):
+    # refused before any criterion runs: exit 2, one error line naming the key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and repr(next(iter(raw))) in err
+
+
 def test_emit_report_csv_and_roundtrip(tmp_path):
     cases = [
         InequalityCase("a", 1.0, 2.0, 1.5, 0.5, "pass", 1e-9, {"k": 1}),
