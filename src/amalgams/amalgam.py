@@ -12,13 +12,15 @@ is used and the mesh is reported alongside the value.  The y-domain is
 always clipped to the inflated support neighbourhood, which is exact
 because the integrand vanishes outside it.
 
-Neither the partition pieces nor the ball-mesh overlaps depend on the
-exponents, so each call leaves its blocks of them for the next one
-(:func:`_replay`): one slot per kind holds the last call's function, key
-(the lattice steps, or the radius and mesh, with the work caps) and blocks,
-and a call on the same function object with an equal key sums the saved
-blocks under its own (q, p).  Only streams of at most ``MEMO_PIECES`` rows
-are kept.
+Neither the partition pieces, nor the ball-mesh overlaps, nor the line
+sweep's sorted knots depend on the exponents, so each call leaves its
+blocks of them for the next one (:func:`_replay`): one slot per kind holds
+the last call's function, key (the radii or lattice steps, or the radius
+and mesh, with the work caps) and blocks, and a call on the same function
+object with an equal key sums the saved blocks under its own (q, p).  A
+fractional-mean norm whose partition pieces are replayed also skips its
+scale checks (:func:`_holds`).  Only streams of at most ``MEMO_PIECES``
+array elements are kept.
 """
 
 from __future__ import annotations
@@ -87,19 +89,28 @@ def partition_norm(
     _require_support_in_window(f, part)
     if f.is_zero():
         return 0.0
-    return _partition_sums(f, q, p, np.array([part.steps]), part.intersections_with_box)[0]
+    key = (part.steps, *_caps())
+    return _partition_sums(f, q, p, 1, key, part.intersections_with_box)[0]
 
 
 # -- the last call's exponent-free blocks -------------------------------------
 
-# Most rows (pieces, or ball-mesh rows) the blocks of one call may hold to be
-# kept for the next call; a longer stream is made anew on every call.  The
-# repeated calls of the benchmark's workloads stream at most about 8k rows;
-# the fracnorms of 1k-2k cell functions stream 34k and more, and keeping
-# those (at 2**16) raised peak memory by 1.4 MB for no reuse.
+# Most array elements (pieces, ball-mesh rows, or line-sweep knots) the first
+# arrays of one call's blocks may hold to be kept for the next call; a longer
+# stream is made anew on every call.  The repeated calls of the benchmark's
+# workloads stream at most about 8k; the fracnorms of 1k-2k cell functions
+# stream 34k and more, and keeping those (at 2**16) raised peak memory by
+# 1.4 MB for no reuse.
 MEMO_PIECES = 1 << 14
 # One slot per kind of block stream: (function, key, blocks) of the last call.
 _SLOTS: dict[str, tuple] = {}
+
+
+def _holds(kind: str, f: SimpleFunction, key: tuple) -> bool:
+    """Whether the slot of ``kind`` holds the blocks of f (by identity) at
+    an equal key, so that :func:`_replay` would yield them."""
+    slot = _SLOTS.get(kind)
+    return slot is not None and slot[0] is f and slot[1] == key
 
 
 def _replay(kind: str, f: SimpleFunction, key: tuple, make):
@@ -109,18 +120,17 @@ def _replay(kind: str, f: SimpleFunction, key: tuple, make):
     key, its saved blocks are yielded instead.  Otherwise the slot is
     emptied and make's blocks are yielded as they are made; they fill the
     slot only once all of them are out and their first arrays hold at most
-    MEMO_PIECES rows together, so a stream that is larger, or whose
+    MEMO_PIECES elements together, so a stream that is larger, or whose
     consumer stops early or raises, saves nothing.  Consumers must not
     write to the blocks."""
-    slot = _SLOTS.get(kind)
-    if slot is not None and slot[0] is f and slot[1] == key:
-        yield from slot[2]
+    if _holds(kind, f, key):
+        yield from _SLOTS[kind][2]
         return
     _SLOTS.pop(kind, None)
     saved, rows = [], 0
     for block in make():
         if saved is not None:
-            rows += len(block[0])
+            rows += block[0].size
             if rows <= MEMO_PIECES:
                 saved.append(block)
             else:
@@ -136,23 +146,22 @@ def _caps() -> tuple[int, int]:
     return groups.MAX_PIECES, groups.BLOCK_PIECES
 
 
-def _partition_sums(f: SimpleFunction, q: float, p: float, steps: np.ndarray, pieces_of) -> list[float]:
-    """The partition norms of a nonzero f at the radii of the rows of
-    steps (their lattice steps) from the blocks of whole radii (radius,
-    box, cell index, measure) that ``pieces_of(lo, hi)`` cuts from its
-    cells, grouped by :func:`_sorted_pieces` and replayed for the next call
-    on f with the same steps.  np.bincount sums each cell's pieces one after
-    another; the per-cell powers and the sum over cells stay in Python
-    (libm's powers, fsum).  Where the cells' sums lose digits
-    (:func:`_cells_hold`), the local norms are taken by :func:`_power_sums`
-    instead.  A radius without pieces has norm 0."""
+def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, key: tuple, pieces_of) -> list[float]:
+    """The partition norms of a nonzero f at n radii from the blocks of
+    whole radii (radius, box, cell index, measure) that ``pieces_of(lo,
+    hi)`` cuts from its cells, grouped by :func:`_sorted_pieces` and
+    replayed for the next call on f with an equal key, which names the
+    radii and the caps (:func:`_caps`).  np.bincount sums each cell's
+    pieces one after another; the per-cell powers and the sum over cells
+    stay in Python (libm's powers, fsum).  Where the cells' sums lose
+    digits (:func:`_cells_hold`), the local norms are taken by
+    :func:`_power_sums` instead.  A radius without pieces has norm 0."""
     e = _unit_exponent(f.max_value, q, p)
     vals = [math.ldexp(c.value, -e) for c in f.cells]
     powers = vals if math.isinf(q) else [x**q for x in vals]
     v = np.array(powers)
     plain = math.isinf(q) or _cells_hold(f, q, powers)
-    norms = [0.0] * len(steps)
-    key = (steps.shape, steps.tobytes(), *_caps())
+    norms = [0.0] * n
     blocks = _replay("partition", f, key, lambda: _sorted_pieces(f, pieces_of))
     for box, m, runs, starts, firsts, owners in blocks:
         if math.isinf(q):
@@ -304,8 +313,6 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             return [max(c.value for c in cells)] * len(radii)
         return [_sup_ball_norm_line(f, r, p, e) for r in radii]
     scale = f.group.measure_scale
-    lo = np.array([c.lo[0] for c in cells])
-    hi = np.array([c.hi[0] for c in cells])
     powers = [math.ldexp(c.value, -e) ** q for c in cells]
     if not _cells_hold(f, q, powers):
         raise ValueError(RANGE_ERROR)  # the sweep is no power sum
@@ -318,23 +325,30 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     # running sum and phi are the same sums, in the same order, as a
     # sweep over the knots.
     dw = np.stack([w, -w, -w, w], axis=1).ravel()
-    norms = []
     per_block = max(1, BLOCK_PIECES // dw.size)
-    for b0 in range(0, len(radii), per_block):
-        r = np.array(radii[b0 : b0 + per_block])[:, None]
-        width = np.minimum(hi - lo, 2.0 * r)
-        start, end = lo - r, hi + r
-        y = np.stack([start, start + width, end - width, end], axis=2).reshape(len(r), -1)
-        order = np.argsort(y, axis=1, kind="stable")
-        y = np.take_along_axis(y, order, axis=1)
-        head = np.ones(y.shape, dtype=bool)
-        head[:, 1:] = y[:, 1:] != y[:, :-1]
+
+    def knot_blocks():  # each block's sorted knots, replayed for the next call at these radii
+        lo = np.array([c.lo[0] for c in cells])
+        hi = np.array([c.hi[0] for c in cells])
+        for b0 in range(0, len(radii), per_block):
+            r = np.array(radii[b0 : b0 + per_block])[:, None]
+            width = np.minimum(hi - lo, 2.0 * r)
+            start, end = lo - r, hi + r
+            y = np.stack([start, start + width, end - width, end], axis=2).reshape(len(r), -1)
+            order = np.argsort(y, axis=1, kind="stable")
+            y = np.take_along_axis(y, order, axis=1)
+            head = np.ones(y.shape, dtype=bool)
+            head[:, 1:] = y[:, 1:] != y[:, :-1]
+            yield order, y, head, np.cumsum(head) - 1, y[:, 1:] - y[:, :-1]
+
+    norms = []
+    for order, y, head, runs, gaps in _replay("ball", f, (tuple(radii), BLOCK_PIECES), knot_blocks):
         # the merged slope of each run of equal knots sits at its head
         merged = np.zeros(y.shape)
-        merged[head] = np.bincount(np.cumsum(head) - 1, weights=dw[order].ravel())
+        merged[head] = np.bincount(runs, weights=dw[order].ravel())
         slope = np.cumsum(merged, axis=1)
         rise = np.zeros(y.shape)
-        rise[:, 1:] = slope[:, :-1] * (y[:, 1:] - y[:, :-1])
+        rise[:, 1:] = slope[:, :-1] * gaps
         values = np.maximum(np.cumsum(rise, axis=1), 0.0)
         if math.isinf(p):
             norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]

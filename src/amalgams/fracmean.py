@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import _partition_sums, ball_norms
+from .amalgam import _caps, _holds, _partition_sums, ball_norms
 from .groups import Box, GroupDescriptor
 from .partitions import UniformPartition, build_pi_r, cell_shape, cell_steps, check_scales
 from .simplefn import SimpleFunction, _check_exponent
@@ -178,16 +178,22 @@ def _partition_norms(
 ) -> list[float]:
     """``partition_norm(f, partition_for(f, g, r), q, p)`` for each r of
     radii, bit for bit, from one ``partition_pieces`` stream; the steps,
-    windows and scale checks of all radii are made in one pass."""
+    windows and scale checks of all radii are made in one pass.  They
+    depend on f, g and the radii alone, so a call whose pieces the memo
+    replays (:func:`amalgam._holds`) skips them: they passed when its
+    entry was made."""
     if f.group.name != g.name:
         raise ValueError("function and partition live on different groups")
-    steps = cell_steps(g, radii)
-    check_scales(g, radii, steps, _windows(f, g, steps))
+    key = (g, tuple(radii), *_caps())
+    steps = None
+    if not _holds("partition", f, key):
+        steps = cell_steps(g, radii)
+        check_scales(g, radii, steps, _windows(f, g, steps))
     q = _check_exponent(q)
     p = _check_exponent(p)
     if f.is_zero():
         return [0.0] * len(radii)
-    return _partition_sums(f, q, p, steps, lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
+    return _partition_sums(f, q, p, len(radii), key, lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
 
 
 @dataclass(frozen=True)

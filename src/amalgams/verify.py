@@ -345,6 +345,17 @@ class SuiteConfig:
     )
     window: tuple[tuple[float, float], ...] = ((-4.0, 4.0),)
 
+    def __post_init__(self):
+        """Refuse a config that cannot run: the sample counts and max_levels
+        are integers of at least 1, the seed one of at least 0 (bools are
+        refused), and the window one finite axis, kept as floats."""
+        for name in self.__dataclass_fields__:
+            if name in ("seed", "max_levels") or name.startswith("n_"):
+                value, least = getattr(self, name), 0 if name == "seed" else 1
+                if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                    raise ValueError(f"config key {name!r} needs an integer of at least {least}, got {value!r}")
+        object.__setattr__(self, "window", _suite_window(self.window))
+
     def selected(self) -> tuple[str, ...]:
         if self.criteria is None:
             return ALL_CRITERIA
@@ -352,6 +363,18 @@ class SuiteConfig:
             if name not in ALL_CRITERIA:
                 raise ValueError(f"unknown criterion {name!r}")
         return self.criteria
+
+
+def _suite_window(value) -> tuple[tuple[float, float]]:
+    """The suite's window: one finite axis [lo, hi] with lo < hi."""
+    try:
+        ((lo, hi),) = value
+        lo, hi = float(lo), float(hi)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key 'window' needs one axis [lo, hi], got {value!r}") from None
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"config key 'window' needs finite lo < hi, got {value!r}")
+    return ((lo, hi),)
 
 
 def _wide_grid(f: SimpleFunction) -> RadiusGrid:

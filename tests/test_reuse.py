@@ -119,8 +119,7 @@ def test_interleaved_calls_equal_the_cleared_values(g, made):
             assert _bits(call(q, p)) == ref[label, q, p], (label, q, p)
             calls += 1
     assert made["partition"] + made["ball"] < calls / 4
-    # every consumer at one exponent pair: partition_norm and _partition_norms
-    # share a key, the others replace the slot in turn
+    # every consumer in turn at one exponent pair
     for q, p in EXPONENTS:
         for label, call in ops:
             assert _bits(call(q, p)) == ref[label, q, p], (label, q, p)

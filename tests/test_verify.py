@@ -169,3 +169,28 @@ def test_run_suite_reports_construction_errors(monkeypatch):
     assert [c.status for c in cases] == ["error"]
     assert not suite_passed(cases)
     assert "synthetic" in cases[0].context["exception"]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_equivalence": 0}, "'n_equivalence' needs an integer of at least 1, got 0"),
+        ({"n_identity": -3}, "'n_identity' needs an integer of at least 1, got -3"),
+        ({"seed": -1}, "'seed' needs an integer of at least 0, got -1"),
+        ({"seed": True}, "'seed' needs an integer of at least 0, got True"),
+        ({"max_levels": 2.0}, "'max_levels' needs an integer of at least 1, got 2.0"),
+        ({"window": ((0.0, 1.0), (0.0, 1.0))}, "'window' needs one axis"),
+        ({"window": ((1.0, INF),)}, "'window' needs finite lo < hi"),
+    ],
+    ids=lambda x: json.dumps(x) if isinstance(x, dict) else None,
+)
+def test_suite_config_refuses_what_cannot_run(fields, message):
+    # the API checks what the CLI's --config checks, before any criterion runs
+    with pytest.raises(ValueError, match=message):
+        SuiteConfig(**fields)
+
+
+def test_suite_config_keeps_its_window_as_floats():
+    cfg = SuiteConfig(seed=0, window=[[-2, 2]])
+    assert cfg.window == ((-2.0, 2.0),) and all(type(x) is float for x in cfg.window[0])
+    assert SuiteConfig().window == ((-4.0, 4.0),)
