@@ -229,28 +229,45 @@ def conv_q_indicator(
 ) -> float:
     """(|f|^q * chi_B)(x) = integral of |f|^q over x.B(e, r); ``mesh`` is
     the inner grid side of the Heisenberg ball-box kernel."""
+    return _conv_q_indicators(f, q, [r], x, mesh)[0]
+
+
+def conv_q_indicators(
+    f: SimpleFunction, q: float, radii: list[float], x: Point, mesh: int = 48
+) -> list[float]:
+    """``conv_q_indicator`` at every radius of radii, the arguments checked
+    once and the overlaps of all radii asked of the geometry in one call,
+    bit-identical to the single-radius calls."""
+    return _conv_q_indicators(f, q, radii, x, mesh)
+
+
+def _conv_q_indicators(f: SimpleFunction, q: float, radii: list[float], x: Point, mesh: int) -> list[float]:
     q = _check_exponent(q)
     if math.isinf(q):
         raise ValueError("q = inf is not supported here; use the sup-norm branch")
-    if not 0 < r < math.inf:
+    if not all(0 < r < math.inf for r in radii):
         raise ValueError("ball radius must be positive and finite")
     cells = f.cells
     if not cells:
-        return 0.0
+        return [0.0] * len(radii)
     lo = np.array([c.lo for c in cells])
     hi = np.array([c.hi for c in cells])
     ys = np.broadcast_to(np.asarray(x, dtype=float), lo.shape)
-    measures = f.group.geometry.ball_box_measure(ys, r, lo, hi, mesh).tolist()
+    rows = f.group.geometry.ball_box_measure(ys, np.array(radii, dtype=float), lo, hi, mesh).tolist()
     _check_measures(f, q)
-    hit = [(c.value, m) for c, m in zip(cells, measures) if m > 0.0]  # a miss adds a true 0
-    values, weights = [v for v, _ in hit], [m for _, m in hit]
     e = _unit_exponent(f.max_value, q)
-    powers = [math.ldexp(v, -e) ** q for v in values]
-    total = sum(x * m for x, m in zip(powers, weights))
-    if _lost_digits(powers, weights, [total]):
-        return _power_sums(values, q, weights, root=False)[0]
     k = math.floor(e * q)  # the q-th power of a norm: it scales by 2**(e*q)
-    return _times_pow2(total * 2.0 ** (e * q - k), k)
+    totals = []
+    for measures in rows:
+        hit = [(c.value, m) for c, m in zip(cells, measures) if m > 0.0]  # a miss adds a true 0
+        values, weights = [v for v, _ in hit], [m for _, m in hit]
+        powers = [math.ldexp(v, -e) ** q for v in values]
+        total = sum(x * m for x, m in zip(powers, weights))
+        if _lost_digits(powers, weights, [total]):
+            totals.append(_power_sums(values, q, weights, root=False)[0])
+        else:
+            totals.append(_times_pow2(total * 2.0 ** (e * q - k), k))
+    return totals
 
 
 # -- ball norm ---------------------------------------------------------------
@@ -323,7 +340,11 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     # holds one radius' events, cell by cell; a stable sort puts equal
     # knots together in that order, so the slope merged at a knot, its
     # running sum and phi are the same sums, in the same order, as a
-    # sweep over the knots.
+    # sweep over the knots.  Where a ramp is narrower than its knot's ulp,
+    # a - r + W rounds onto a - r (or b + r - W onto b + r) and the ramp has
+    # no gap to rise over: its rise w W enters as a jump at the last of the
+    # knots equal to the coincident one, so that phi there is the right
+    # limit and at the first of them the left limit.
     dw = np.stack([w, -w, -w, w], axis=1).ravel()
     per_block = max(1, BLOCK_PIECES // dw.size)
 
@@ -334,21 +355,37 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             r = np.array(radii[b0 : b0 + per_block])[:, None]
             width = np.minimum(hi - lo, 2.0 * r)
             start, end = lo - r, hi + r
-            y = np.stack([start, start + width, end - width, end], axis=2).reshape(len(r), -1)
+            top, fall = start + width, end - width
+            y = np.stack([start, top, fall, end], axis=2).reshape(len(r), -1)
             order = np.argsort(y, axis=1, kind="stable")
             y = np.take_along_axis(y, order, axis=1)
             head = np.ones(y.shape, dtype=bool)
             head[:, 1:] = y[:, 1:] != y[:, :-1]
-            yield order, y, head, np.cumsum(head) - 1, y[:, 1:] - y[:, :-1]
+            runs = np.cumsum(head) - 1
+            up, down = top == start, fall == end  # the collapsed ramps
+            jumps = None
+            if up.any() or down.any():  # the knot of each one's jump, its cell and signed W
+                rises = np.zeros(start.shape + (4,))
+                rises[..., 1] = np.where(up, width, 0.0)
+                rises[..., 2] = np.where(down, -width, 0.0)
+                rises = np.take_along_axis(rises.reshape(len(r), -1), order, axis=1).ravel()
+                at = np.flatnonzero(rises)
+                tail = np.ones(y.shape, dtype=bool)
+                tail[:, :-1] = head[:, 1:]
+                jumps = np.flatnonzero(tail)[runs[at]], order.ravel()[at] // 4, rises[at]
+            yield order, y, head, runs, y[:, 1:] - y[:, :-1], jumps
 
     norms = []
-    for order, y, head, runs, gaps in _replay("ball", f, (tuple(radii), BLOCK_PIECES), knot_blocks):
+    for order, y, head, runs, gaps, jumps in _replay("ball", f, (tuple(radii), BLOCK_PIECES), knot_blocks):
         # the merged slope of each run of equal knots sits at its head
         merged = np.zeros(y.shape)
         merged[head] = np.bincount(runs, weights=dw[order].ravel())
         slope = np.cumsum(merged, axis=1)
         rise = np.zeros(y.shape)
         rise[:, 1:] = slope[:, :-1] * gaps
+        if jumps is not None:
+            at, cell, width = jumps
+            np.add.at(rise.reshape(-1), at, w[cell] * width)
         values = np.maximum(np.cumsum(rise, axis=1), 0.0)
         if math.isinf(p):
             norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]

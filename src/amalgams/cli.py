@@ -31,7 +31,7 @@ from .fracmean import (
 from .groups import get_group
 from .partitions import build_pi_r, n_pi_bound, partition_constants, validate
 from .simplefn import SimpleFunction, lorentz_norm, simple_function
-from .verify import SuiteConfig, run_suite, suite_passed
+from .verify import SuiteConfig, run_suite_timed, suite_passed
 
 OUT_DIR_ENV = "AMALGAMS_OUT_DIR"
 
@@ -116,13 +116,16 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def emit_report(cases, fmt: str, path: str | None) -> str:
-    """Serialize inequality cases; returns the text that was written."""
+def emit_report(cases, fmt: str, path: str | None, criterion_seconds: dict | None = None) -> str:
+    """Serialize inequality cases; returns the text that was written.  A
+    JSON report also holds the wall time of each criterion, where given."""
     if fmt == "json":
         payload = {
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "cases": [c.as_dict() for c in cases],
         }
+        if criterion_seconds is not None:
+            payload["criterion_seconds"] = criterion_seconds
         text = json.dumps(_strict(payload), sort_keys=True, indent=2)
     elif fmt == "csv":
         buf = io.StringIO()
@@ -344,9 +347,9 @@ def _load_suite_config(path: str | None) -> SuiteConfig:
 
 def _cmd_verify(args) -> int:
     cfg = _load_suite_config(args.config)
-    cases = run_suite(cfg)
+    cases, seconds = run_suite_timed(cfg)
     fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
-    text = emit_report(cases, fmt, args.out)
+    text = emit_report(cases, fmt, args.out, seconds)
     if not args.out:
         print(text)
     for c in cases:

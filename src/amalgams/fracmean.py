@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,14 +109,20 @@ class RadiusGrid:
         octaves = math.log2(ratio) if ratio < INF else math.log2(self.r_max) - math.log2(self.r_min)
         return math.ceil(self.steps_per_octave * octaves)
 
-    def radii(self) -> list[float]:
+    @cached_property
+    def _radii(self) -> tuple[float, ...]:
+        """The radii, worked out once per grid."""
         m = self.steps_per_octave
         if self.r_max / self.r_min < INF:
             rs = [self.r_min * 2.0 ** (k / m) for k in range(self._count())]
         else:  # 2**(k/m) can overflow here, its square root cannot
             rs = [self.r_min * 2.0 ** (k / m / 2) * 2.0 ** (k / m / 2) for k in range(self._count())]
-        rs.append(self.r_max)
-        return rs
+        return (*rs, self.r_max)
+
+    def radii(self) -> list[float]:
+        """r_min * 2**(k / steps_per_octave) below r_max, then r_max; a new
+        list on each call."""
+        return list(self._radii)
 
 
 def support_scale(f: SimpleFunction) -> float:

@@ -291,13 +291,17 @@ class BoxGeometry:
         _, counts = _lattice_counts(boxes[..., 0], boxes[..., 1], np.asarray(part.steps))
         return counts.prod(axis=1).astype(np.int64)
 
-    def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
+    def ball_box_measure(self, ys: np.ndarray, r, lo, hi, nw: int) -> np.ndarray:
         """Exact Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys;
-        lo and hi are one box, or arrays of shape (n, d) with one box per row."""
+        lo and hi are one box, or arrays of shape (n, d) with one box per row.
+        For an array of radii, one row of measures per radius, shape
+        (len(r), len(ys)), each row bit for bit that of its radius alone."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         vol = self.measure_scale
         for ax, w in enumerate(self.cell_half_extents(r)):
             y = ys[:, ax]
+            if isinstance(w, np.ndarray):
+                w = w[:, None]
             vol = vol * np.clip(
                 np.minimum(hi[..., ax], y + w) - np.maximum(lo[..., ax], y - w), 0.0, None
             )
@@ -531,7 +535,7 @@ class HeisenbergGeometry:
             counts[b : b + 16] = _distinct_rows(idx)
         return counts
 
-    def ball_box_measure(self, ys: np.ndarray, r: float, lo, hi, nw: int) -> np.ndarray:
+    def ball_box_measure(self, ys: np.ndarray, r, lo, hi, nw: int) -> np.ndarray:
         """Haar measure of (y.B(e, r)) ^ [lo, hi) for each row y of ys.
 
         lo and hi are one box, or arrays of shape (n, 3) with one box per
@@ -539,12 +543,17 @@ class HeisenbergGeometry:
         the intersection of the box footprint with the ball footprint, so
         small boxes inside large balls stay resolved.  A row whose footprint
         is empty, or whose t-range misses the reach of |w3| + |sigma| over
-        the footprint, is 0 without the grid.
+        the footprint, is 0 without the grid.  For an array of radii, one
+        row of measures per radius, shape (len(r), len(ys)), from one
+        kernel call per radius.
 
         Each kept row is a column of one row of :meth:`_column_sums`; a
         value comes from the same operations in a longer column, so this
         gives the bits of :meth:`ball_mesh_rows`.
         """
+        if isinstance(r, np.ndarray):
+            rows = [self.ball_box_measure(ys, x, lo, hi, nw) for x in r.tolist()]
+            return np.array(rows).reshape(len(r), len(ys))
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         w1lo = np.maximum(lo[..., 0] - ys[:, 0], -r)
         w1hi = np.minimum(hi[..., 0] - ys[:, 0], r)

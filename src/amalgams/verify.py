@@ -11,18 +11,20 @@ broken case abort the rest.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .amalgam import ball_norm, conv_q_indicator, partition_norm
+from .amalgam import ball_norm, ball_norms, conv_q_indicators, partition_norm
 from .counterexample import fractional_bound_constant, union_growth
 from .fracmean import (
     NONTRIVIAL,
     ExponentTriple,
     RadiusGrid,
     _min_cell_extent,
+    _partition_norms,
     conjugate,
     default_grid,
     divergence_diagnostic,
@@ -395,7 +397,8 @@ def _functions(
 #
 # Each criterion builds each of its functions once, with its grid or
 # partition, and evaluates every exponent on it, so that the amalgam memo
-# replays the exponent-free pieces; each case takes its own column of samples.
+# replays the exponent-free pieces; a function's radii go in one call per
+# exponent pair, and each case takes its own column of samples.
 
 
 def check_diagonal_identity(cfg: SuiteConfig) -> list[InequalityCase]:
@@ -437,10 +440,10 @@ def _equivalence_instance(
     base_q, base_p = partition_constants(g)
     ratios = [[] for _ in pairs]
     for f in _functions(cfg, 31, cfg.n_equivalence, max_cells, g, window):
-        for r in radii:
-            part = partition_for(f, g, r)
-            for col, (q, p) in zip(ratios, pairs):
-                col.append(r ** (-g.rho * inv(p)) * ball_norm(f, g, r, q, p) / partition_norm(f, part, q, p))
+        for col, (q, p) in zip(ratios, pairs):
+            balls = ball_norms(f, g, radii, q, p)
+            parts = _partition_norms(f, g, radii, q, p)
+            col += [r ** (-g.rho * inv(p)) * b / n for r, b, n in zip(radii, balls, parts)]
     cases = []
     for (q, p), col in zip(pairs, ratios):
         upper_const = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
@@ -598,9 +601,9 @@ def check_kolmogorov_bound(cfg: SuiteConfig) -> list[InequalityCase]:
         radii = default_grid(f).radii()
         for col, (q, alpha) in zip(cols, WEAK_PAIRS):
             weak = lorentz_norm(f, alpha, INF)
-            for r in radii:
-                lhs = conv_q_indicator(f, q, r, g.identity()) ** (1.0 / q)
-                col.append((lhs, weak * g.ball_measure(r) ** (1.0 / q - 1.0 / alpha)))
+            convs = conv_q_indicators(f, q, radii, g.identity())
+            exponent = 1.0 / q - 1.0 / alpha
+            col += [(c ** (1.0 / q), weak * g.ball_measure(r) ** exponent) for r, c in zip(radii, convs)]
     return _weak_cases("kolmogorov-bound", cols)
 
 
@@ -702,7 +705,7 @@ def check_covering_limit(cfg: SuiteConfig) -> list[InequalityCase]:
         bb = f.bounding_box()
         cover_r = 1.01 * (bb[0][1] - bb[0][0]) / 2.0
         radii = [cover_r * 2.0 ** (k - 4) for k in range(5)]
-        vals = [ball_norm(f, g, r, q, INF) for r in radii]
+        vals = ball_norms(f, g, radii, q, INF)
         mono.extend((vals[k], vals[k + 1]) for k in range(len(vals) - 1))
         attain.append((vals[-1], lebesgue_norm(f, q)))
     return [
@@ -749,13 +752,22 @@ ALL_CRITERIA = tuple(CRITERIA)
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[InequalityCase]:
     """Run the selected criteria; construction errors become per-case
     reports instead of aborting the suite."""
+    return run_suite_timed(cfg)[0]
+
+
+def run_suite_timed(cfg: SuiteConfig = SuiteConfig()) -> tuple[list[InequalityCase], dict[str, float]]:
+    """The cases of :func:`run_suite`, and the wall time in seconds of each
+    selected criterion (summed over its repeats), in the order run."""
     cases: list[InequalityCase] = []
+    seconds: dict[str, float] = {}
     for name in cfg.selected():
+        start = time.perf_counter()
         try:
             cases.extend(CRITERIA[name](cfg))
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             cases.append(error_case(name, exc))
-    return cases
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+    return cases, seconds
 
 
 def suite_passed(cases: Iterable[InequalityCase]) -> bool:

@@ -270,8 +270,22 @@ THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
         (lambda: partition_norm(ONE, partition_for(ONE, REAL_LINE, 0.3), 2.0, 2000.0), 0.2742127242198547, True),
         (lambda: partition_norm(THIN, partition_for(THIN, REAL_LINE, 1.0), 1.0, 4.0), 1e-100, True),
         (lambda: ball_norm(THIN, REAL_LINE, 1e-100, 1.0, 4.0), 7.952707287670507e-126, True),
+        # ramps far below ulp(r): Fubini's lambda(B(e, 1)) ||THIN||_1, and
+        # ||THIN||_2 on every y of a set of measure 1
+        (lambda: ball_norm(THIN, REAL_LINE, 1.0, 1.0, 1.0), 1e-100, False),
+        (lambda: ball_norm(THIN, REAL_LINE, 1.0, 2.0, 3.0), 1e-50, False),
     ],
-    ids=["lebesgue", "conv", "partition", "ball", "partition-p2000", "thin-partition", "thin-ball"],
+    ids=[
+        "lebesgue",
+        "conv",
+        "partition",
+        "ball",
+        "partition-p2000",
+        "thin-partition",
+        "thin-ball",
+        "thin-ball-collapsed-ramps",
+        "thin-ball-collapsed-ramps-q2-p3",
+    ],
 )
 def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):
     """Each norm gives its value, or, where one of its levels is no power

@@ -248,6 +248,23 @@ def test_verify_subcommand_quick(capsys, tmp_path):
     assert all(isinstance(c.margin, float) for c in rebuilt)
 
 
+def test_verify_report_times_each_criterion(capsys, tmp_path):
+    criteria = ["degeneracy-slopes", "diagonal-identity", "degeneracy-slopes", "tail-norm-constant"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"criteria": criteria, "n_identity": 3}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    seconds = payload["criterion_seconds"]
+    assert sorted(seconds) == sorted(set(criteria))
+    assert all(isinstance(s, float) and 0.0 <= s < math.inf for s in seconds.values())
+    # the cases are those of run_suite
+    cases = run_suite(SuiteConfig(criteria=tuple(criteria), n_identity=3))
+    assert payload["cases"] == json.loads(emit_report(cases, "json", None))["cases"]
+    assert "criterion_seconds" not in json.loads(emit_report(cases, "json", None))
+
+
 def test_verify_bad_config_key(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))

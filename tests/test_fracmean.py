@@ -70,6 +70,29 @@ def test_radius_grid_past_the_float_ratio():
     assert all(0.0 < a < b < INF for a, b in zip(rs, rs[1:]))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        RadiusGrid(0.5, 8.0, 2),
+        RadiusGrid(0.131, 0.131 * 256, 4),
+        RadiusGrid(1.0, 1.0 + 1e-9, 3),
+        RadiusGrid(1e-300, 1e300, 4),  # r_max / r_min overflows
+    ],
+)
+def test_radius_grid_radii_are_the_formula_worked_out_once(grid):
+    m, n = grid.steps_per_octave, grid._count()
+    if grid.r_max / grid.r_min < INF:
+        want = [grid.r_min * 2.0 ** (k / m) for k in range(n)]
+    else:
+        want = [grid.r_min * 2.0 ** (k / m / 2) * 2.0 ** (k / m / 2) for k in range(n)]
+    want.append(grid.r_max)
+    got = grid.radii()
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert "_radii" in vars(grid)  # kept on the grid
+    got.append(0.0)  # each call's list is the caller's own
+    assert grid.radii() == want
+
+
 def test_fractional_diagonal_is_lebesgue():
     g = REAL_LINE
     for i in range(15):
