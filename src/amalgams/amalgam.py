@@ -267,6 +267,8 @@ def _conv_q_indicators(f: SimpleFunction, q: float, radii: list[float], x: Point
             totals.append(_power_sums(values, q, weights, root=False)[0])
         else:
             totals.append(_times_pow2(total * 2.0 ** (e * q - k), k))
+        if hit and totals[-1] == 0.0:  # a positive q-th power below the float range
+            raise ValueError(RANGE_ERROR)
     return totals
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,9 +46,9 @@ class GroupDescriptor:
     """A concrete homogeneous group with normalized Haar measure.
 
     ``geometry`` is built from ``geometry_type`` and the instance itself,
-    and holds the group law, the norm and the Haar scale; ``d`` and
-    ``measure_scale`` are derived.  Instances are immutable and all
-    operations are pure.
+    and holds the group law, the norm and the Haar scale; ``d``, ``rho``
+    and ``measure_scale`` are derived, once per instance.  Instances are
+    immutable and all operations are pure.
     """
 
     name: str
@@ -59,17 +60,17 @@ class GroupDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "geometry", self.geometry_type(self))
 
-    @property
+    @cached_property
     def d(self) -> int:
         return len(self.dilation_exponents)
 
-    @property
+    @cached_property
     def measure_scale(self) -> float:
         """Multiplies d-dimensional Lebesgue volume, so that
         ``ball_measure(r) == r**rho`` exactly."""
         return self.geometry.measure_scale
 
-    @property
+    @cached_property
     def rho(self) -> float:
         return float(sum(self.dilation_exponents))
 

@@ -14,8 +14,9 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,8 +135,7 @@ def _power_sums(x, a: float, w, starts=(0,), root: bool = True) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     value: float
@@ -207,35 +207,61 @@ def simple_function(
     group: GroupDescriptor,
     cells: Iterable[tuple[Sequence[float], Sequence[float], float]],
 ) -> SimpleFunction:
-    """Build a validated SimpleFunction from (lo, hi, value) triples.
-
-    Every cell is validated and checked for overlaps, but only the cells
-    with a positive value are stored."""
-    built: list[Cell] = []
-    for lo, hi, value in cells:
-        lo = tuple(float(a) for a in lo)
-        hi = tuple(float(b) for b in hi)
-        if len(lo) != group.d or len(hi) != group.d:
-            raise ValueError(f"cell dimension mismatch for group {group.name}")
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise ValueError(f"degenerate cell [{lo}, {hi})")
-        if not all(math.isfinite(v) for v in lo + hi):
-            raise ValueError("cell bounds must be finite (bounded support)")
-        value = float(value)
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError("cell values must be finite and >= 0")
-        built.append(Cell(lo, hi, value, group.box_measure(lo, hi)))
-    _check_disjoint(built)
+    """Build a validated SimpleFunction from (lo, hi, value) triples, unpacked
+    and float()-converted in one loop, then checked by :func:`_check_cells`
+    and for overlaps.  A measure is measure_scale * ((w_0 * w_1) * ...) of the
+    widths hi - lo.  The cells of positive value are kept, as Cell tuples."""
+    los, his, values = [], [], []
+    try:
+        for lo, hi, value in cells:
+            los.append(tuple(map(float, lo)))
+            his.append(tuple(map(float, hi)))
+            values.append(float(value))
+    finally:  # an earlier cell's failed rule wins over an error the loop raised
+        lo, hi = _check_cells(group, los, his, values)
+    with np.errstate(over="ignore"):  # a measure past the float range is inf
+        measures = group.measure_scale * reduce(operator.mul, (hi - lo).T)
+    built = list(map(Cell._make, zip(los, his, values, measures.tolist())))
+    _check_disjoint(built, lo[:, 0], hi[:, 0])
     return SimpleFunction(group, tuple(c for c in built if c.value > 0.0))
 
 
-def _check_disjoint(cells: Sequence[Cell]) -> None:
+def _check_cells(group: GroupDescriptor, los, his, values) -> tuple[np.ndarray, np.ndarray]:
+    """Check each rule as one mask, in this order: dimension, lo < hi on each
+    axis, finite bounds, a finite value >= 0; the lowest failing cell raises
+    its first failed rule.  Return lo and hi, (n, d); values may lack the last."""
+    n, d = len(his), group.d
+
+    def first_false(flags) -> int:  # len(flags) where no flag is False
+        return [*flags, False].index(False)
+
+    m = first_false(map(operator.and_, map(d.__eq__, map(len, los[:n])), map(d.__eq__, map(len, his))))
+    b = np.fromiter(chain.from_iterable(chain(los[:m], his[:m])), float, 2 * m * d).reshape(2, m, d)
+    ordered, bounded = (b[0] < b[1]).all(axis=1), np.isfinite(b).all(axis=(0, 2))
+    v = np.array(values[:m], dtype=float)
+    k = min(first_false((ordered & bounded).tolist()), first_false(((v >= 0.0) & (v < INF)).tolist()))
+    if k == m < n:
+        raise ValueError(f"cell dimension mismatch for group {group.name}")
+    if k < m and not ordered[k]:
+        raise ValueError(f"degenerate cell [{los[k]}, {his[k]})")
+    if k < m and not bounded[k]:
+        raise ValueError("cell bounds must be finite (bounded support)")
+    if k < len(v):
+        raise ValueError("cell values must be finite and >= 0")
+    return b[0], b[1]
+
+
+def _check_disjoint(cells: Sequence[Cell], lo0: np.ndarray, hi0: np.ndarray) -> None:
     """Raise on the first overlapping pair found by a sweep along axis 0.
 
-    Cells are visited in order of lo[0]; the active list holds the cells
-    whose hi[0] lies above the current lo[0], which are exactly those that
-    meet the new cell on axis 0, so only they are tested on every axis.
-    """
+    Where the axis-0 intervals [lo0, hi0), sorted by lo0, each start at or
+    after every end before them (one NumPy test), no boxes meet: no sweep.
+    It visits cells in order of lo[0]; the active list holds the cells whose
+    hi[0] lies above the current lo[0], exactly those that meet the new cell
+    on axis 0, so only they are tested on every axis."""
+    order = lo0.argsort(kind="stable")
+    if (lo0[order[1:]] >= np.maximum.accumulate(hi0[order])[:-1]).all():
+        return
     active: list[int] = []
     for j in sorted(range(len(cells)), key=lambda k: cells[k].lo[0]):
         cj = cells[j]
@@ -359,6 +385,7 @@ def lorentz_norm(f: SimpleFunction, q: float, p: float) -> float:
     if math.isinf(p):
         if math.isinf(q):
             return prof.sup()
+        _check_measures(f, q)  # a cell of measure 0.0 has no step
         return max(
             v * prof.breakpoints[i + 1] ** (1.0 / q)
             for i, v in enumerate(prof.values)

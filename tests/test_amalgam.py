@@ -258,6 +258,8 @@ def test_norms_of_extreme_multiples_scale_exactly(g, factor):
 
 ONE = line_fn((0.0, 2.0, 1.0))  # value 1 on measure 1
 THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
+# values 0.15-0.21 on the plane; the ball B((2.5, -1), 8) holds every cell
+SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
 
 
 @pytest.mark.parametrize(
@@ -274,6 +276,10 @@ THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
         # ||THIN||_2 on every y of a set of measure 1
         (lambda: ball_norm(THIN, REAL_LINE, 1.0, 1.0, 1.0), 1e-100, False),
         (lambda: ball_norm(THIN, REAL_LINE, 1.0, 2.0, 3.0), 1e-50, False),
+        # the q-th power, not the norm: at q = 1100 it is below the float range,
+        # so the root a caller takes is refused, not 0.0
+        (lambda: conv_q_indicator(SMALL_VALUES, 1100.0, 8.0, (2.5, -1.0)) ** (1.0 / 1100.0), 0.2086785590826528, True),
+        (lambda: conv_q_indicator(SMALL_VALUES, 100.0, 8.0, (2.5, -1.0)), 8.867126974724495e-69, False),
     ],
     ids=[
         "lebesgue",
@@ -285,6 +291,8 @@ THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
         "thin-ball",
         "thin-ball-collapsed-ramps",
         "thin-ball-collapsed-ramps-q2-p3",
+        "conv-power-below-the-range",
+        "conv-power-q100",
     ],
 )
 def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):

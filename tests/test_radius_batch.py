@@ -205,8 +205,19 @@ def test_conv_radii_form_is_the_single_radius_body(g, window, x, q):
         f = gen_random_simple(seed, 3, window, g)
         ref = [old_conv_q_indicator(f, q, r, x) for r in CONV_RADII]
         assert ref[0] == 0.0
-        assert _bits(conv_q_indicators(f, q, CONV_RADII, x)) == _bits(ref)
-        assert _bits([conv_q_indicator(f, q, r, x) for r in CONV_RADII]) == _bits(ref)
+        # where the ball meets a cell, a q-th power the old body rounded to
+        # 0.0 (aniso-plane, seed 3, q = 1100) is now the float-range error
+        lost = [r for r, v in zip(CONV_RADII, ref) if v == 0.0 and old_conv_q_indicator(f, 1.0, r, x) > 0.0]
+        for r in lost:
+            with pytest.raises(ValueError, match="float range"):
+                conv_q_indicator(f, q, r, x)
+        if lost:
+            with pytest.raises(ValueError, match="float range"):
+                conv_q_indicators(f, q, CONV_RADII, x)
+        radii = [r for r in CONV_RADII if r not in lost]
+        ref = [v for r, v in zip(CONV_RADII, ref) if r not in lost]
+        assert _bits(conv_q_indicators(f, q, radii, x)) == _bits(ref)
+        assert _bits([conv_q_indicator(f, q, r, x) for r in radii]) == _bits(ref)
 
 
 def test_conv_radii_form_validates_like_the_single_radius_calls():

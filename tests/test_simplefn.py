@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgams import simplefn
-from amalgams.groups import ANISO_PLANE, REAL_LINE
+from amalgams.cli import main
+from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.simplefn import (
     SimpleFunction,
     box_intersection,
@@ -122,6 +124,23 @@ def test_lorentz_past_the_float_range_is_inf():
     # a cell of infinite measure
     h = simple_function(ANISO_PLANE, [((-1e300, -1e300), (-1.0, -1.0), 5e-324)])
     assert h.cells[0].measure == INF and lorentz_norm(h, 1.5, 1.5) == INF
+
+
+def test_lorentz_refuses_a_cell_whose_measure_underflowed(tmp_path, capsys):
+    """The Haar measure (8/pi^2) 1e-390 of this cell rounds to 0.0, so it
+    has no step: at p = inf as at p < inf the norm is the float-range error."""
+    cell = {"lo": [0.0, 0.0, 0.0], "hi": [1e-120, 1e-120, 1e-150], "value": 1.0}
+    f = simple_function(HEISENBERG, [(cell["lo"], cell["hi"], cell["value"])])
+    assert f.cells[0].measure == 0.0
+    for p in (3.0, INF):
+        with pytest.raises(ValueError, match="float range"):
+            lorentz_norm(f, 2.0, p)
+    assert lorentz_norm(f, INF, INF) == 1.0  # the sup needs no measure
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"group": "heisenberg", "cells": [cell]}))
+    assert main(["lorentz", "--q", "2", "--p", "inf", "--fn", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
 
 
 def _plain_lorentz(prof, q, p):
