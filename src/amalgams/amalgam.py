@@ -182,9 +182,7 @@ def _sorted_pieces(f: SimpleFunction, pieces_of):
     in stream order: (box, measure, run id of each piece, first piece of
     each run, first run of each radius (a list), radius of those runs (a
     list))."""
-    lo = np.array([c.lo for c in f.cells])
-    hi = np.array([c.hi for c in f.cells])
-    for radius, box, idx, m in pieces_of(lo, hi):
+    for radius, box, idx, m in pieces_of(f.lo, f.hi):
         if not len(radius):
             continue
         order = np.lexsort((*idx.T[::-1], radius))
@@ -250,10 +248,8 @@ def _conv_q_indicators(f: SimpleFunction, q: float, radii: list[float], x: Point
     cells = f.cells
     if not cells:
         return [0.0] * len(radii)
-    lo = np.array([c.lo for c in cells])
-    hi = np.array([c.hi for c in cells])
-    ys = np.broadcast_to(np.asarray(x, dtype=float), lo.shape)
-    rows = f.group.geometry.ball_box_measure(ys, np.array(radii, dtype=float), lo, hi, mesh).tolist()
+    ys = np.broadcast_to(np.asarray(x, dtype=float), f.lo.shape)
+    rows = f.group.geometry.ball_box_measure(ys, np.array(radii, dtype=float), f.lo, f.hi, mesh).tolist()
     _check_measures(f, q)
     e = _unit_exponent(f.max_value, q)
     k = math.floor(e * q)  # the q-th power of a norm: it scales by 2**(e*q)
@@ -324,6 +320,10 @@ def _ball_mesh(r: float, mesh: float | None) -> float:
     return r / 3.0 if mesh is None else mesh
 
 
+# The change of slope each cell's ramps make at a - r, a - r + W, b + r - W, b + r.
+_RAMPS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -> list[float]:
     cells = f.cells
     e = _unit_exponent(f.max_value, q, p)
@@ -347,64 +347,120 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     # no gap to rise over: its rise w W enters as a jump at the last of the
     # knots equal to the coincident one, so that phi there is the right
     # limit and at the first of them the left limit.
-    dw = np.stack([w, -w, -w, w], axis=1).ravel()
+    dw = (w[:, None] * _RAMPS).ravel()
     per_block = max(1, BLOCK_PIECES // dw.size)
 
-    def knot_blocks():  # each block's sorted knots, replayed for the next call at these radii
-        lo = np.array([c.lo[0] for c in cells])
-        hi = np.array([c.hi[0] for c in cells])
+    def knot_blocks():  # each block's knot order, runs and gaps, replayed for the next call at these radii
+        lo, hi = f.lo[:, 0], f.hi[:, 0]
         for b0 in range(0, len(radii), per_block):
             r = np.array(radii[b0 : b0 + per_block])[:, None]
-            width = np.minimum(hi - lo, 2.0 * r)
-            start, end = lo - r, hi + r
-            top, fall = start + width, end - width
-            y = np.stack([start, top, fall, end], axis=2).reshape(len(r), -1)
-            order = np.argsort(y, axis=1, kind="stable")
-            y = np.take_along_axis(y, order, axis=1)
-            head = np.ones(y.shape, dtype=bool)
-            head[:, 1:] = y[:, 1:] != y[:, :-1]
-            runs = np.cumsum(head) - 1
-            up, down = top == start, fall == end  # the collapsed ramps
+            width = np.minimum(hi - lo, r + r)
+            knots = np.empty((4, len(r), len(cells)))
+            start, top, fall, end = knots[0], knots[1], knots[2], knots[3]
+            np.subtract(lo, r, out=start)
+            np.add(start, width, out=top)
+            np.add(hi, r, out=end)
+            np.subtract(end, width, out=fall)
+            y = knots.transpose(1, 2, 0).reshape(len(r), -1)  # cell by cell
+            order = y.argsort(axis=1, kind="stable")
+            y = y[np.arange(len(r))[:, None], order].ravel()
+            k = y.size // len(r)  # knots per row
+            head = np.empty(y.size, dtype=bool)  # the first of each run of equal knots
+            np.not_equal(y[1:], y[:-1], out=head[1:])
+            head[::k] = True
+            runs = head.cumsum()  # each knot's run, from 1
+            collapsed = knots[1:3] == knots[::3]  # top == start, fall == end
             jumps = None
-            if up.any() or down.any():  # the knot of each one's jump, its cell and signed W
+            if np.count_nonzero(collapsed):  # the knot of each one's jump, its cell and signed W
+                up, down = collapsed
                 rises = np.zeros(start.shape + (4,))
                 rises[..., 1] = np.where(up, width, 0.0)
                 rises[..., 2] = np.where(down, -width, 0.0)
                 rises = np.take_along_axis(rises.reshape(len(r), -1), order, axis=1).ravel()
                 at = np.flatnonzero(rises)
-                tail = np.ones(y.shape, dtype=bool)
-                tail[:, :-1] = head[:, 1:]
-                jumps = np.flatnonzero(tail)[runs[at]], order.ravel()[at] // 4, rises[at]
-            yield order, y, head, runs, y[:, 1:] - y[:, :-1], jumps
+                tail = np.ones(y.size, dtype=bool)
+                tail[:-1] = head[1:]
+                jumps = np.flatnonzero(tail)[runs[at] - 1], order.ravel()[at] // 4, rises[at]
+            gaps = np.empty(y.size)  # from each knot to the next; 0 after a row's last
+            np.subtract(y[1:], y[:-1], out=gaps[:-1])
+            gaps[k - 1 :: k] = 0.0
+            head, gaps = head.reshape(len(r), k), gaps.reshape(len(r), k)
+            yield order, head, runs, gaps, jumps
 
     norms = []
-    for order, y, head, runs, gaps, jumps in _replay("ball", f, (tuple(radii), BLOCK_PIECES), knot_blocks):
+    for order, head, runs, gaps, jumps in _replay("ball", f, (tuple(radii), BLOCK_PIECES), knot_blocks):
         # the merged slope of each run of equal knots sits at its head
-        merged = np.zeros(y.shape)
-        merged[head] = np.bincount(runs, weights=dw[order].ravel())
-        slope = np.cumsum(merged, axis=1)
-        rise = np.zeros(y.shape)
-        rise[:, 1:] = slope[:, :-1] * gaps
+        merged = np.zeros(gaps.shape)
+        merged[head] = np.bincount(runs, weights=dw[order].ravel())[1:]
+        slope = merged.cumsum(axis=1)
+        rise = np.zeros(gaps.shape)
+        np.multiply(slope[:, :-1], gaps[:, :-1], out=rise[:, 1:])
         if jumps is not None:
             at, cell, width = jumps
             np.add.at(rise.reshape(-1), at, w[cell] * width)
-        values = np.maximum(np.cumsum(rise, axis=1), 0.0)
+        values = rise.cumsum(axis=1)
+        np.maximum(values, 0.0, out=values)
         if math.isinf(p):
             norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]
             continue
-        pieces, heads, totals = [], [], []
-        for knots, phi in zip(y.tolist(), values.tolist()):
-            heads.append(len(pieces))
-            pieces += [  # a repeated knot, or a segment where phi is 0, adds nothing
-                _linear_power_integral(f0, f1, y1 - y0, p / q) * scale
-                for y0, y1, f0, f1 in zip(knots[:-1], knots[1:], phi[:-1], phi[1:])
-                if y1 > y0 and (f0 or f1)
-            ]
-            totals.append(sum(pieces[heads[-1] :]))
+        # a row's last gap is 0, so no segment joins two rows
+        segments, pieces = _segment_integrals(values.ravel(), gaps.ravel(), p / q, scale)
+        heads = segments.searchsorted(np.arange(0, gaps.size, gaps.shape[1])).tolist()
+        pieces = pieces.tolist()
+        totals = [sum(pieces[a:b]) for a, b in zip(heads, heads[1:] + [len(pieces)])]
         if _lost_digits(pieces, 1.0, totals, heads):
             raise ValueError(RANGE_ERROR)  # an integral of powers is no power sum
         norms += [_times_pow2(t ** (1.0 / p), e) for t in totals]
     return norms
+
+
+def _segment_integrals(phi: np.ndarray, gaps: np.ndarray, s: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The segments j of positive width gaps[j] on which the linear function
+    from phi[j] to phi[j + 1] (both >= 0) is not 0 at both ends, and scale
+    times its exact integral of phi^s over each of them.
+
+    With f0, f1 the ends, dy the width and u = (f1 - f0) / f0, the integral
+    is f0^s dy where f0 = f1, dy max(f0, f1)^s / (s + 1) where an end is 0,
+    dy f0^s (1 + s u / 2 + s (s - 1) u^2 / 6) where |u| < 1e-4 (the closed
+    form cancels badly there), and else the closed form dy (f1^(s+1) -
+    f0^(s+1)) / ((f1 - f0) (s + 1)), each in this operation order.  The
+    powers are taken once per knot that needs them, by Python's (libm's)
+    pow: NumPy's SIMD power differs from it in the last bit."""
+    f0, f1, dy = phi[:-1], phi[1:], gaps[:-1]
+    with np.errstate(all="ignore"):  # lanes of the other cases divide by 0; the scalar form warns of nothing
+        zero = np.logical_not(phi)
+        z0, z1 = zero[:-1], zero[1:]
+        keep = np.greater(dy > 0.0, z0 & z1)  # positive width, not 0 at both ends
+        ends = z0 | z1  # on a kept segment: one end 0
+        d = f1 - f0
+        u = d / f0
+        near = np.abs(u) < 1e-4  # false where an end is 0; f0 = f1 gives u = 0
+        closed = keep > (ends | near)  # the closed form
+        n = phi.size
+        need = np.zeros(2 * n, dtype=bool)  # the knots whose phi^s, then phi^(s+1), are used
+        np.greater(keep, closed | z0, out=need[: n - 1])  # f0 where f0 = f1, near, or f1 = 0
+        need[1:n] |= keep & z0  # f1 where f0 = 0
+        need[n:-1] = closed
+        need[n + 1 :] |= closed
+        at = need.nonzero()[0]
+        m, s1 = at.searchsorted(n), s + 1.0
+        x = phi.take(at, mode="wrap").tolist()
+        powers = np.zeros(2 * n)
+        powers[at] = [a**s for a in x[:m]] + [a**s1 for a in x[m:]]
+        ps, p1 = powers[:n], powers[n:]
+        piece = ps[:-1].copy()  # f0^s, or f1^s where f0 = 0
+        np.putmask(piece, z0, ps[1:])
+        np.putmask(piece, closed, p1[1:] - p1[:-1])
+        piece *= dy
+        np.divide(piece, s1, out=piece, where=ends)
+        np.divide(piece, d * s1, out=piece, where=closed)
+        at = np.logical_and(near, d).nonzero()[0]  # d = 0: the series is 1.0
+        if at.size:
+            v = u[at]
+            piece[at] *= 1.0 + s * v / 2.0 + s * (s - 1.0) * v * v / 6.0
+        piece *= scale
+        at = keep.nonzero()[0]
+        return at, piece[at]
 
 
 def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
@@ -436,22 +492,6 @@ def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
     powers = [v**p for v in values]
     total = sum(x * dy * scale for x, dy in zip(powers, widths))
     return _root(total, p, e, values, [dy * scale for dy in widths], powers)
-
-
-def _linear_power_integral(f0: float, f1: float, dy: float, s: float) -> float:
-    """Exact integral of (f0 + (f1 - f0) t / dy)^s over [0, dy], f0, f1 >= 0.
-
-    The closed form (f1^(s+1) - f0^(s+1)) / (m (s+1)) cancels badly on
-    nearly flat segments, so those switch to a series in (f1 - f0)/f0.
-    """
-    if f0 == f1:
-        return f0**s * dy
-    if f0 == 0.0 or f1 == 0.0:
-        return dy * max(f0, f1) ** s / (s + 1.0)
-    u = (f1 - f0) / f0
-    if abs(u) < 1e-4:
-        return dy * f0**s * (1.0 + s * u / 2.0 + s * (s - 1.0) * u * u / 6.0)
-    return dy * (f1 ** (s + 1.0) - f0 ** (s + 1.0)) / ((f1 - f0) * (s + 1.0))
 
 
 def _ball_norm_quadrature(

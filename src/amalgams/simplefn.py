@@ -153,6 +153,21 @@ class SimpleFunction:
         return max((c.value for c in self.cells), default=0.0)
 
     @cached_property
+    def lo(self) -> np.ndarray:
+        """The cells' lower corners as one read-only (n, d) array, built once."""
+        return self._corners(0)
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        """The cells' upper corners as one read-only (n, d) array, built once."""
+        return self._corners(1)
+
+    def _corners(self, k: int) -> np.ndarray:
+        corners = np.array([c[k] for c in self.cells], dtype=float).reshape(len(self.cells), self.group.d)
+        corners.flags.writeable = False
+        return corners
+
+    @cached_property
     def _support_box(self) -> Box | None:
         if not self.cells:
             return None
@@ -227,28 +242,34 @@ def simple_function(
 
 
 def _check_cells(group: GroupDescriptor, los, his, values) -> tuple[np.ndarray, np.ndarray]:
-    """Check each rule as one mask, in this order: dimension, lo < hi on each
-    axis, finite bounds, a finite value >= 0; the lowest failing cell raises
-    its first failed rule.  Return lo and hi, (n, d); values may lack the last."""
+    """Check each rule, in this order: dimension, lo < hi on each axis, finite
+    bounds, a finite value >= 0; the lowest failing cell raises its first
+    failed rule.  The rules after the dimension are one mask per cell, with
+    one reduction over the axes; the failing cell's rule is then read from its
+    own numbers.  Return lo and hi, (n, d); values may lack the last."""
     n, d = len(his), group.d
 
     def first_false(flags) -> int:  # len(flags) where no flag is False
         return [*flags, False].index(False)
 
     m = first_false(map(operator.and_, map(d.__eq__, map(len, los[:n])), map(d.__eq__, map(len, his))))
-    b = np.fromiter(chain.from_iterable(chain(los[:m], his[:m])), float, 2 * m * d).reshape(2, m, d)
-    ordered, bounded = (b[0] < b[1]).all(axis=1), np.isfinite(b).all(axis=(0, 2))
-    v = np.array(values[:m], dtype=float)
-    k = min(first_false((ordered & bounded).tolist()), first_false(((v >= 0.0) & (v < INF)).tolist()))
-    if k == m < n:
+    k = min(m, len(values))
+    b = np.fromiter(chain(chain.from_iterable(chain(los[:m], his[:m])), values[:m]), float, 2 * m * d + k)
+    finite = np.isfinite(b)
+    lo, hi = b[: m * d].reshape(m, d), b[m * d : 2 * m * d].reshape(m, d)
+    bounds = (lo < hi) & finite[: m * d].reshape(m, d) & finite[m * d : 2 * m * d].reshape(m, d)
+    ok = np.logical_and.reduce(bounds, axis=1)
+    ok[:k] &= finite[2 * m * d :] & (b[2 * m * d :] >= 0.0)
+    j = first_false(ok.tolist())
+    if j == m < n:
         raise ValueError(f"cell dimension mismatch for group {group.name}")
-    if k < m and not ordered[k]:
-        raise ValueError(f"degenerate cell [{los[k]}, {his[k]})")
-    if k < m and not bounded[k]:
+    if j < m and not all(map(operator.lt, los[j], his[j])):
+        raise ValueError(f"degenerate cell [{los[j]}, {his[j]})")
+    if j < m and not all(map(math.isfinite, los[j] + his[j])):
         raise ValueError("cell bounds must be finite (bounded support)")
-    if k < len(v):
+    if j < m:
         raise ValueError("cell values must be finite and >= 0")
-    return b[0], b[1]
+    return lo, hi
 
 
 def _check_disjoint(cells: Sequence[Cell], lo0: np.ndarray, hi0: np.ndarray) -> None:
@@ -259,8 +280,10 @@ def _check_disjoint(cells: Sequence[Cell], lo0: np.ndarray, hi0: np.ndarray) -> 
     It visits cells in order of lo[0]; the active list holds the cells whose
     hi[0] lies above the current lo[0], exactly those that meet the new cell
     on axis 0, so only they are tested on every axis."""
+    if len(lo0) < 2:  # a single cell meets no other
+        return
     order = lo0.argsort(kind="stable")
-    if (lo0[order[1:]] >= np.maximum.accumulate(hi0[order])[:-1]).all():
+    if np.logical_and.reduce(lo0[order[1:]] >= np.maximum.accumulate(hi0[order])[:-1]):
         return
     active: list[int] = []
     for j in sorted(range(len(cells)), key=lambda k: cells[k].lo[0]):
@@ -426,8 +449,7 @@ def _axis0_neighbours(a: SimpleFunction, b: SimpleFunction) -> list[list[Cell]]:
     """For each cell of a, the cells of b whose axis-0 extent meets it, in
     b's order.  Any other cell of b misses it on axis 0, so it gives no
     intersection and removes nothing in a subtraction."""
-    lo = np.array([c.lo[0] for c in b.cells])
-    hi = np.array([c.hi[0] for c in b.cells])
+    lo, hi = b.lo[:, 0], b.hi[:, 0]
     return [
         [b.cells[k] for k in np.flatnonzero((lo < ca.hi[0]) & (ca.lo[0] < hi))]
         for ca in a.cells

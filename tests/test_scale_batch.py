@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgams import amalgam, groups
-from amalgams.amalgam import _linear_power_integral, ball_norm, ball_norms, partition_norm
+from amalgams.amalgam import _segment_integrals, ball_norm, ball_norms, partition_norm
+from amalgams.counterexample import build_sparse_union
 from amalgams.fracmean import (
     DEGENERATE_HIGH,
     DEGENERATE_LOW,
@@ -30,7 +31,7 @@ from amalgams.fracmean import (
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.partitions import build_pi_r, cell_shape, cell_steps, check_scales
 from amalgams.simplefn import _times_pow2, _unit_exponent, simple_function
-from amalgams.verify import gen_random_simple
+from amalgams.verify import gen_random_simple, radial_power_fn
 
 INF = math.inf
 QS = (1.0, 1.5, 2.0, 3.0, INF)
@@ -239,6 +240,24 @@ def test_partition_batch_piece_cap_is_inclusive(monkeypatch):
 # -- the ball form on the line -----------------------------------------------
 
 
+def _linear_power_integral(f0: float, f1: float, dy: float, s: float) -> float:
+    """Exact integral of (f0 + (f1 - f0) t / dy)^s over [0, dy], f0, f1 >= 0:
+    the scalar form the sweep integrated each segment with, one call per
+    segment, before its array form.
+
+    The closed form (f1^(s+1) - f0^(s+1)) / (m (s+1)) cancels badly on
+    nearly flat segments, so those switch to a series in (f1 - f0)/f0.
+    """
+    if f0 == f1:
+        return f0**s * dy
+    if f0 == 0.0 or f1 == 0.0:
+        return dy * max(f0, f1) ** s / (s + 1.0)
+    u = (f1 - f0) / f0
+    if abs(u) < 1e-4:
+        return dy * f0**s * (1.0 + s * u / 2.0 + s * (s - 1.0) * u * u / 6.0)
+    return dy * (f1 ** (s + 1.0) - f0 ** (s + 1.0)) / ((f1 - f0) * (s + 1.0))
+
+
 def _dict_sweep(f, r, q, p):
     """The single-radius event sweep the batched one replaced (finite q;
     at q = inf the ball norm keeps its single-radius scan)."""
@@ -278,9 +297,13 @@ def _touching(seed, n):
     return simple_function(REAL_LINE, [((float(a),), (float(a + 1),), float(v)) for a, v in zip(starts, vals)])
 
 
-LINE_FUNCTIONS = [gen_random_simple(s, 1 + s % 12, ((-4.0, 4.0),), REAL_LINE) for s in range(8)] + [
-    _touching(s, n) for s, n in ((1, 5), (2, 40), (3, 200))
-]
+LINE_FUNCTIONS = (
+    [gen_random_simple(s, 1 + s % 12, ((-4.0, 4.0),), REAL_LINE) for s in range(8)]
+    # rows of many segments, with plateaus: unions of up to 129 balls, a radial profile
+    + [build_sparse_union(REAL_LINE, 1.0, 2.0, n)[1] for n in (3, 4, 5)]
+    + [radial_power_fn(REAL_LINE, "power", 2.0, (0.25, 4.0), mesh=0.1).function]
+    + [_touching(s, n) for s, n in ((1, 5), (2, 40), (3, 200))]
+)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -310,6 +333,49 @@ def test_ball_batch_matches_the_old_sweep(spans, r, q, p):
             cells.append(((start / 4.0,), ((start + length) / 4.0,), v))
     f = simple_function(REAL_LINE, cells)
     assert ball_norms(f, REAL_LINE, [r], q, p)[0].hex() == _dict_sweep(f, r, q, p).hex()
+
+
+# Knot values 1e-300 to 1e300, a mantissa in [1, 10) times a power of 10.
+MAGNITUDES = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.999), st.integers(-300, 299))
+
+
+@st.composite
+def knot_rows(draw):
+    """Knot values and gaps of a piecewise linear function whose segments
+    take each case of the integral: equal ends, an end 0, |u| just below and
+    just above 1e-4, and the closed form; some gaps are 0, the last always."""
+    phi = [draw(st.one_of(st.just(0.0), MAGNITUDES))]
+    for kind in draw(st.lists(st.sampled_from(["equal", "zero", "near", "far"]), min_size=1, max_size=12)):
+        prev = phi[-1]
+        if kind == "equal":
+            phi.append(prev)
+        elif kind == "zero" and prev:
+            phi.append(0.0)
+        elif kind == "near" and prev:
+            u = draw(st.floats(0.99e-4, 1.01e-4)) * draw(st.sampled_from([-1.0, 1.0]))
+            phi.append(prev * (1.0 + u))
+        else:
+            phi.append(draw(MAGNITUDES))
+    gaps = [draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3))) for _ in phi[1:]] + [0.0]
+    return phi, gaps
+
+
+@settings(max_examples=500, deadline=None)
+@given(knot_rows(), st.sampled_from([0.5, 1.0, 4.0 / 3.0, 1.5, 4.0]))
+@example(([0.0, 2.0, 2.0, 2.0002, 2.0003, 3.0, 0.0], [1.0, 0.5, 0.25, 0.125, 2.0, 4.0, 0.0]), 1.5)
+def test_segment_integrals_are_the_scalar_integrals(row, s):
+    phi, gaps = row
+    scale = REAL_LINE.measure_scale
+    kept = [j for j in range(len(phi) - 1) if gaps[j] > 0.0 and (phi[j] or phi[j + 1])]
+    try:
+        expected = [(_linear_power_integral(phi[j], phi[j + 1], gaps[j], s) * scale).hex() for j in kept]
+    except OverflowError:  # a power past the float range, in the scalar form too
+        with pytest.raises(OverflowError):
+            _segment_integrals(np.array(phi), np.array(gaps), s, scale)
+        return
+    at, pieces = _segment_integrals(np.array(phi), np.array(gaps), s, scale)
+    assert at.tolist() == kept
+    assert _bits(pieces.tolist()) == expected
 
 
 def test_ball_batch_across_blocks(monkeypatch):
