@@ -14,13 +14,13 @@ because the integrand vanishes outside it.
 
 Neither the partition pieces, nor the ball-mesh overlaps, nor the line
 sweep's sorted knots depend on the exponents, so each call leaves its
-blocks of them for the next one (:func:`_replay`): one slot per kind holds
-the last call's function, key (the radii or lattice steps, or the radius
-and mesh, with the work caps) and blocks, and a call on the same function
-object with an equal key sums the saved blocks under its own (q, p).  A
+blocks of them on the function for the next one (:func:`_replay`): per
+kind, f keeps the key (the radii or lattice steps, or the radius and
+mesh, with the work caps) and blocks of its last stream, and a call on
+the same f with an equal key sums them under its own (q, p).  A
 fractional-mean norm whose partition pieces are replayed also skips its
 scale checks (:func:`_holds`).  Only streams of at most ``MEMO_PIECES``
-array elements are kept.
+array elements are kept, for as long as their function lives.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .groups import BLOCK_PIECES, GroupDescriptor, Point
+from .groups import GroupDescriptor, Point
 from .partitions import UniformPartition
 from .simplefn import (
     RANGE_ERROR,
@@ -89,11 +89,10 @@ def partition_norm(
     _require_support_in_window(f, part)
     if f.is_zero():
         return 0.0
-    key = (part.steps, *_caps())
-    return _partition_sums(f, q, p, 1, key, part.intersections_with_box)[0]
+    return _partition_sums(f, q, p, 1, (part.steps,), part.intersections_with_box)[0]
 
 
-# -- the last call's exponent-free blocks -------------------------------------
+# -- the exponent-free blocks a function keeps -------------------------------
 
 # Most array elements (pieces, ball-mesh rows, or line-sweep knots) the first
 # arrays of one call's blocks may hold to be kept for the next call; a longer
@@ -102,31 +101,31 @@ def partition_norm(
 # stream 34k and more, and keeping those (at 2**16) raised peak memory by
 # 1.4 MB for no reuse.
 MEMO_PIECES = 1 << 14
-# One slot per kind of block stream: (function, key, blocks) of the last call.
-_SLOTS: dict[str, tuple] = {}
 
 
 def _holds(kind: str, f: SimpleFunction, key: tuple) -> bool:
-    """Whether the slot of ``kind`` holds the blocks of f (by identity) at
-    an equal key, so that :func:`_replay` would yield them."""
-    slot = _SLOTS.get(kind)
-    return slot is not None and slot[0] is f and slot[1] == key
+    """Whether f keeps the blocks of ``kind`` at an equal key and the
+    current work caps (under a lowered cap a replay then raises where a new
+    stream would), so that :func:`_replay` would yield them."""
+    entry = f._memo.get(kind)
+    return entry is not None and entry[0] == (*key, groups.MAX_PIECES, groups.BLOCK_PIECES)
 
 
 def _replay(kind: str, f: SimpleFunction, key: tuple, make):
     """The blocks of ``make()``, which depend on f and key alone.
 
-    When the slot of ``kind`` holds the same f (by identity) and an equal
-    key, its saved blocks are yielded instead.  Otherwise the slot is
-    emptied and make's blocks are yielded as they are made; they fill the
-    slot only once all of them are out and their first arrays hold at most
+    When f keeps the blocks of ``kind`` at an equal key and work caps, they
+    are yielded instead.  Otherwise f's entry of ``kind`` is dropped and
+    make's blocks are yielded as they are made; they become the entry only
+    once all of them are out and their first arrays hold at most
     MEMO_PIECES elements together, so a stream that is larger, or whose
     consumer stops early or raises, saves nothing.  Consumers must not
     write to the blocks."""
     if _holds(kind, f, key):
-        yield from _SLOTS[kind][2]
+        yield from f._memo[kind][1]
         return
-    _SLOTS.pop(kind, None)
+    key = (*key, groups.MAX_PIECES, groups.BLOCK_PIECES)
+    f._memo.pop(kind, None)
     saved, rows = [], 0
     for block in make():
         if saved is not None:
@@ -137,13 +136,7 @@ def _replay(kind: str, f: SimpleFunction, key: tuple, make):
                 saved = None
         yield block
     if saved is not None:
-        _SLOTS[kind] = (f, key, saved)
-
-
-def _caps() -> tuple[int, int]:
-    """The work caps a stream is made under, for every key: a replay then
-    yields the blocks, and raises, exactly where a new stream would."""
-    return groups.MAX_PIECES, groups.BLOCK_PIECES
+        f._memo[kind] = (key, saved)
 
 
 def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, key: tuple, pieces_of) -> list[float]:
@@ -151,11 +144,11 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, key: tuple, p
     whole radii (radius, box, cell index, measure) that ``pieces_of(lo,
     hi)`` cuts from its cells, grouped by :func:`_sorted_pieces` and
     replayed for the next call on f with an equal key, which names the
-    radii and the caps (:func:`_caps`).  np.bincount sums each cell's
-    pieces one after another; the per-cell powers and the sum over cells
-    stay in Python (libm's powers, fsum).  Where the cells' sums lose
-    digits (:func:`_cells_hold`), the local norms are taken by
-    :func:`_power_sums` instead.  A radius without pieces has norm 0."""
+    radii.  np.bincount sums each cell's pieces one after another; the
+    per-cell powers and the sum over cells stay in Python (libm's powers,
+    fsum).  Where the cells' sums lose digits (:func:`_cells_hold`), the
+    local norms are taken by :func:`_power_sums` instead.  A radius without
+    pieces has norm 0."""
     e = _unit_exponent(f.max_value, q, p)
     vals = [math.ldexp(c.value, -e) for c in f.cells]
     powers = vals if math.isinf(q) else [x**q for x in vals]
@@ -348,7 +341,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     # knots equal to the coincident one, so that phi there is the right
     # limit and at the first of them the left limit.
     dw = (w[:, None] * _RAMPS).ravel()
-    per_block = max(1, BLOCK_PIECES // dw.size)
+    per_block = max(1, groups.BLOCK_PIECES // dw.size)
 
     def knot_blocks():  # each block's knot order, runs and gaps, replayed for the next call at these radii
         lo, hi = f.lo[:, 0], f.hi[:, 0]
@@ -388,7 +381,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             yield order, head, runs, gaps, jumps
 
     norms = []
-    for order, head, runs, gaps, jumps in _replay("ball", f, (tuple(radii), BLOCK_PIECES), knot_blocks):
+    for order, head, runs, gaps, jumps in _replay("ball", f, (tuple(radii),), knot_blocks):
         # the merged slope of each run of equal knots sits at its head
         merged = np.zeros(gaps.shape)
         merged[head] = np.bincount(runs, weights=dw[order].ravel())[1:]
@@ -404,7 +397,10 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]
             continue
         # a row's last gap is 0, so no segment joins two rows
-        segments, pieces = _segment_integrals(values.ravel(), gaps.ravel(), p / q, scale)
+        try:
+            segments, pieces = _segment_integrals(values.ravel(), gaps.ravel(), p / q, scale)
+        except OverflowError:  # a knot's phi^s or phi^(s+1) past the float range
+            raise ValueError(RANGE_ERROR) from None
         heads = segments.searchsorted(np.arange(0, gaps.size, gaps.shape[1])).tolist()
         pieces = pieces.tolist()
         totals = [sum(pieces[a:b]) for a, b in zip(heads, heads[1:] + [len(pieces)])]
@@ -530,7 +526,7 @@ def _ball_norm_quadrature(
     plain = math.isinf(q) or _cells_hold(f, q, vq)
     rows = []  # otherwise each y-point's (value, overlap) terms, for _power_sums
     # the replay comes first in zip, so that it runs to its end and is saved
-    for (ids, overlap), v, w in zip(_replay("ball", f, (r, mesh, *_caps()), mesh_rows), vals, vq):
+    for (ids, overlap), v, w in zip(_replay("ball", f, (r, mesh), mesh_rows), vals, vq):
         if math.isinf(q):
             local[ids] = np.maximum(local[ids], np.where(overlap > 0.0, v, 0.0))
         elif plain:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amalgam import _caps, _holds, _partition_sums, ball_norms
+from .amalgam import _holds, _partition_sums, ball_norms
 from .groups import Box, GroupDescriptor
 from .partitions import UniformPartition, build_pi_r, cell_shape, cell_steps, check_scales
 from .simplefn import SimpleFunction, _check_exponent
@@ -191,7 +191,7 @@ def _partition_norms(
     entry was made."""
     if f.group.name != g.name:
         raise ValueError("function and partition live on different groups")
-    key = (g, tuple(radii), *_caps())
+    key = (g, tuple(radii))
     steps = None
     if not _holds("partition", f, key):
         steps = cell_steps(g, radii)

@@ -162,6 +162,11 @@ class SimpleFunction:
         """The cells' upper corners as one read-only (n, d) array, built once."""
         return self._corners(1)
 
+    @cached_property
+    def _memo(self) -> dict[str, tuple]:
+        """Per kind, the (key, blocks) of the last stream made on f (``amalgam._replay``)."""
+        return {}
+
     def _corners(self, k: int) -> np.ndarray:
         corners = np.array([c[k] for c in self.cells], dtype=float).reshape(len(self.cells), self.group.d)
         corners.flags.writeable = False

@@ -258,6 +258,7 @@ def test_norms_of_extreme_multiples_scale_exactly(g, factor):
 
 ONE = line_fn((0.0, 2.0, 1.0))  # value 1 on measure 1
 THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
+WIDE = line_fn((0.0, 1e300, 1.0))  # value 1 on [0, 1e300)
 # values 0.15-0.21 on the plane; the ball B((2.5, -1), 8) holds every cell
 SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
 
@@ -280,6 +281,11 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         # so the root a caller takes is refused, not 0.0
         (lambda: conv_q_indicator(SMALL_VALUES, 1100.0, 8.0, (2.5, -1.0)) ** (1.0 / 1100.0), 0.2086785590826528, True),
         (lambda: conv_q_indicator(SMALL_VALUES, 100.0, 8.0, (2.5, -1.0)), 8.867126974724495e-69, False),
+        # the line sweep's phi^s past the float range at r = 1e300: the norm
+        # scales as r^(1/q + 1/p), from its value at r = 1 on [0, 1); at q = 1
+        # it is 4.6e374, so no float can match it
+        (lambda: ball_norm(WIDE, REAL_LINE, 1e300, 2.0, 4.0), 0.6756000774035171e225, True),
+        (lambda: ball_norm(WIDE, REAL_LINE, 1e300, 1.0, 4.0), math.nan, True),
     ],
     ids=[
         "lebesgue",
@@ -293,6 +299,8 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         "thin-ball-collapsed-ramps-q2-p3",
         "conv-power-below-the-range",
         "conv-power-q100",
+        "wide-ball-q2-p4",
+        "wide-ball-q1-p4",
     ],
 )
 def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):

@@ -1,15 +1,16 @@
 """A fractional-mean norm replays all of its exponent-free work: the line
-ball sweep's sorted knots come from the "ball" slot, and a partition
-fracnorm whose pieces are replayed skips its lattice steps, windows and
-scale checks.  Every value is pinned, bit for bit, to the value the same
-call gives with the slots cleared."""
+ball sweep's sorted knots come from the function's "ball" entry, and a
+partition fracnorm whose pieces are replayed skips its lattice steps,
+windows and scale checks.  Every value is pinned, bit for bit, to the value
+the same call gives on a fresh copy of the function."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from amalgams import amalgam, fracmean
-from amalgams.amalgam import _SLOTS, _replay, ball_norm, ball_norms
+from amalgams.amalgam import _replay, ball_norm, ball_norms
 from amalgams.fracmean import (
     ExponentTriple,
     _partition_norms,
@@ -24,13 +25,6 @@ from amalgams.verify import gen_random_simple
 INF = math.inf
 EXPONENTS = [(q, p) for q in (1.0, 1.5, 2.0, 3.0) for p in (1.0, 2.0, 4.0, INF)]
 WINDOW = ((-4.0, 4.0),)
-
-
-@pytest.fixture(autouse=True)
-def empty_slots():
-    _SLOTS.clear()
-    yield
-    _SLOTS.clear()
 
 
 @pytest.fixture
@@ -64,10 +58,9 @@ def test_line_ball_norms_replayed_equal_the_cleared_values(made):
     ops = {i: _line_ops(f) for i, f in enumerate(fs)}
     ref = {}
     for i, f_ops in ops.items():
-        for label, call in f_ops:
+        for label, _ in f_ops:
             for q, p in EXPONENTS:
-                _SLOTS.clear()
-                ref[i, label, q, p] = call(q, p)
+                ref[i, label, q, p] = dict(_line_ops(replace(fs[i])))[label](q, p)
     made.update(ball=0)
     calls = 0
     # each consumer over every exponent pair (a miss, then replays), the
@@ -80,7 +73,7 @@ def test_line_ball_norms_replayed_equal_the_cleared_values(made):
                 assert call_b(q, p) == ref[b, label_b, q, p], (b, label_b, q, p)
             calls += 2 * len(EXPONENTS)
     assert made["ball"] == 2 * 3 * 25 < calls / 8
-    # every consumer at one exponent pair: each call replaces the slot
+    # every consumer at one exponent pair: each call replaces the function's entry
     for i in (0, 7, 11):
         for q, p in EXPONENTS:
             for label, call in ops[i]:
@@ -91,15 +84,11 @@ def test_line_fracnorm_ball_replays_its_knots(made):
     f = gen_random_simple(3, 5, WINDOW)
     grid = default_grid(f)
     triples = [ExponentTriple(q, p, 2.0) for q, p in EXPONENTS if q <= 2.0 <= p]
-    ref = []
-    for t in triples:
-        _SLOTS.clear()
-        ref.append(fractional_norm_ball(f, REAL_LINE, t, grid))
-    _SLOTS.clear()
+    ref = [fractional_norm_ball(replace(f), REAL_LINE, t, grid) for t in triples]
     made.update(ball=0)
     assert [fractional_norm_ball(f, REAL_LINE, t, grid) for t in triples] == ref
     assert made["ball"] == 1
-    knots = sum(block[0].size for block in _SLOTS["ball"][2])
+    knots = sum(block[0].size for block in f._memo["ball"][1])
     assert knots == 4 * len(f.cells) * len(grid.radii())
 
 
@@ -122,11 +111,7 @@ def test_a_replayed_partition_fracnorm_skips_its_bookkeeping(bookkeeping, made):
     grid = default_grid(f)
     triples = [ExponentTriple(1.0, 4.0, 2.0), ExponentTriple(1.0, INF, 2.0), ExponentTriple(2.0, 3.0, 2.5)]
     triples.append(ExponentTriple(2.0, INF, 3.0))
-    ref = []
-    for t in triples:
-        _SLOTS.clear()
-        ref.append(fractional_norm_partition(f, REAL_LINE, t, grid))
-    _SLOTS.clear()
+    ref = [fractional_norm_partition(replace(f), REAL_LINE, t, grid) for t in triples]
     bookkeeping.update(cell_steps=0, check_scales=0)
     made.update(partition=0)
     values = [fractional_norm_partition(f, REAL_LINE, triples[0], grid)]
@@ -134,13 +119,12 @@ def test_a_replayed_partition_fracnorm_skips_its_bookkeeping(bookkeeping, made):
     values += [fractional_norm_partition(f, REAL_LINE, t, grid) for t in triples[1:]]
     assert values == ref
     assert bookkeeping == {"cell_steps": 1, "check_scales": 1} and made["partition"] == 1
-    # one radius changed: a miss, checked again, and equal to its cleared value
+    # one radius changed: a miss, checked again, and equal to its fresh value
     radii = grid.radii()
     radii[5] *= 1.01
     moved = _partition_norms(f, REAL_LINE, radii, 2.0, 3.0)
     assert bookkeeping == {"cell_steps": 2, "check_scales": 2} and made["partition"] == 2
-    _SLOTS.clear()
-    assert [v.hex() for v in moved] == [v.hex() for v in _partition_norms(f, REAL_LINE, radii, 2.0, 3.0)]
+    assert [v.hex() for v in moved] == [v.hex() for v in _partition_norms(replace(f), REAL_LINE, radii, 2.0, 3.0)]
 
 
 def test_errors_keep_their_order_around_a_replay():
@@ -158,7 +142,7 @@ def test_errors_keep_their_order_around_a_replay():
     # right after a replay of the good radii
     _partition_norms(f, REAL_LINE, good, 1.0, 1.0)
     _partition_norms(f, REAL_LINE, good, 2.0, 2.0)
-    assert amalgam._holds("partition", f, (REAL_LINE, tuple(good), *amalgam._caps()))
+    assert amalgam._holds("partition", f, (REAL_LINE, tuple(good)))
     with pytest.raises(ValueError, match="different groups"):
         _partition_norms(f, ANISO_PLANE, good, 0.5, 2.0)
     with pytest.raises(ValueError, match=scale):
@@ -172,7 +156,7 @@ def test_errors_keep_their_order_around_a_replay():
 def test_a_large_line_function_keeps_no_knots():
     f = simple_function(REAL_LINE, [((float(i),), (i + 0.5,), 1.0 + i % 7) for i in range(2000)])
     fractional_norm_ball(f, REAL_LINE, ExponentTriple(1.0, INF, 2.0), default_grid(f))
-    assert "ball" not in _SLOTS
+    assert "ball" not in f._memo
 
 
 def test_memo_pieces_counts_knots_inclusively(monkeypatch):
@@ -180,12 +164,12 @@ def test_memo_pieces_counts_knots_inclusively(monkeypatch):
     radii = default_grid(f).radii()
     knots = 4 * len(f.cells) * len(radii)
     value = ball_norms(f, REAL_LINE, radii, 2.0, 3.0)
-    assert sum(block[0].size for block in _SLOTS["ball"][2]) == knots < amalgam.MEMO_PIECES
-    _SLOTS.clear()
+    assert sum(block[0].size for block in f._memo["ball"][1]) == knots < amalgam.MEMO_PIECES
     monkeypatch.setattr(amalgam, "MEMO_PIECES", knots)
-    assert ball_norms(f, REAL_LINE, radii, 2.0, 3.0) == value
-    assert "ball" in _SLOTS
-    _SLOTS.clear()
+    h = replace(f)
+    assert ball_norms(h, REAL_LINE, radii, 2.0, 3.0) == value
+    assert "ball" in h._memo
     monkeypatch.setattr(amalgam, "MEMO_PIECES", knots - 1)
-    assert ball_norms(f, REAL_LINE, radii, 2.0, 3.0) == value
-    assert "ball" not in _SLOTS
+    h = replace(f)
+    assert ball_norms(h, REAL_LINE, radii, 2.0, 3.0) == value
+    assert "ball" not in h._memo

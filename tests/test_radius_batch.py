@@ -14,7 +14,6 @@ import pytest
 
 from amalgams import verify
 from amalgams.amalgam import (
-    _SLOTS,
     ball_norm,
     ball_norms,
     conv_q_indicator,
@@ -48,13 +47,6 @@ INF = math.inf
 CFGS = [
     SuiteConfig(seed=seed, n_equivalence=n, n_kolmogorov=n, n_limit=n) for seed, n in ((5, 3), (2024, 4))
 ]
-
-
-@pytest.fixture(autouse=True)
-def empty_slots():
-    _SLOTS.clear()
-    yield
-    _SLOTS.clear()
 
 
 # -- the replaced per-radius loops -----------------------------------------------
@@ -179,7 +171,6 @@ def _report(cases):
 def test_criterion_equals_its_per_radius_loops(name, cfg):
     cfg = replace(cfg, criteria=(name,))
     new = run_suite(cfg)
-    _SLOTS.clear()
     ref = REPLACED[name](cfg)
     assert all(c.status == "pass" for c in new)
     assert _report(new) == _report(ref)

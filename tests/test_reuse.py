@@ -1,16 +1,20 @@
 """One call's exponent-free blocks serve the next call on the same function
 and scale: the partition pieces and the ball-mesh rows are replayed from
-one slot per kind.  Every value is pinned, bit for bit, to the value the
-same call gives with the slots cleared, and the slots are pinned to hold
-only the last finished stream of at most MEMO_PIECES rows."""
+the function's own entry per kind.  Every value is pinned, bit for bit, to
+the value the same call gives on a fresh copy of the function, and each
+entry is pinned to hold only the last finished stream of at most
+MEMO_PIECES rows, for as long as its function lives."""
 
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from amalgams import amalgam, groups
-from amalgams.amalgam import _SLOTS, _replay, ball_norm, compute_norm, partition_norm
+from amalgams.amalgam import _replay, ball_norm, compute_norm, partition_norm
 from amalgams.fracmean import (
     ExponentTriple,
     RadiusGrid,
@@ -33,13 +37,6 @@ CELLS = {
 }
 RADII = (0.5, 1.5)
 GRID = RadiusGrid(0.5, 2.0, 2)
-
-
-@pytest.fixture(autouse=True)
-def empty_slots():
-    _SLOTS.clear()
-    yield
-    _SLOTS.clear()
 
 
 @pytest.fixture
@@ -99,9 +96,9 @@ def _ops(f, g):
     return ops
 
 
-def _cleared(call, q, p):
-    _SLOTS.clear()
-    return _bits(call(q, p))
+def _fresh(f, g, label, q, p):
+    """The value of one consumer on a fresh copy of f, which keeps no blocks."""
+    return _bits(dict(_ops(replace(f), g))[label](q, p))
 
 
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
@@ -110,7 +107,7 @@ def test_interleaved_calls_equal_the_cleared_values(g, made):
     e = _unit_exponent(f.max_value, 1100.0, 1100.0)
     assert not _cells_hold(f, 1100.0, [math.ldexp(c.value, -e) ** 1100.0 for c in f.cells])
     ops = _ops(f, g)
-    ref = {(label, q, p): _cleared(call, q, p) for label, call in ops for q, p in EXPONENTS}
+    ref = {(label, q, p): _fresh(f, g, label, q, p) for label, _ in ops for q, p in EXPONENTS}
     made.update(partition=0, ball=0)
     calls = 0
     # one consumer over every exponent pair: a miss, then replays
@@ -130,16 +127,18 @@ def test_an_equal_function_is_a_miss(g, made):
     f, twin = (simple_function(g, CELLS[g.name]) for _ in range(2))
     part = partition_for(f, g, 1.0)
     first = partition_norm(f, part, 2.0, 3.0)
-    assert made["partition"] == 1 and _SLOTS["partition"][0] is f
+    assert made["partition"] == 1 and "partition" in f._memo
     assert partition_norm(f, part, 1.0, 1.0) == partition_norm(f, part, 1.0, 1.0)
     assert made["partition"] == 1
     assert partition_norm(twin, part, 2.0, 3.0) == first
-    assert made["partition"] == 2 and _SLOTS["partition"][0] is twin
+    assert made["partition"] == 2 and "partition" in twin._memo
+    assert partition_norm(replace(f), part, 2.0, 3.0) == first  # an equal copy is a miss too
+    assert partition_norm(f, part, 1.0, 1.0) > 0.0 and made["partition"] == 3  # f kept its entry
     if g.d > 1:  # the line's ball norm is an exact sweep, with no rows
         first = ball_norm(f, g, 1.0, 2.0, 3.0)
         assert ball_norm(f, g, 1.0, 1.0, 1.0) > 0.0 and made["ball"] == 1
         assert ball_norm(twin, g, 1.0, 2.0, 3.0) == first
-        assert made["ball"] == 2 and _SLOTS["ball"][0] is twin
+        assert made["ball"] == 2 and "ball" in twin._memo
 
 
 def test_a_lower_cap_raises_on_a_replay(monkeypatch):
@@ -150,7 +149,7 @@ def test_a_lower_cap_raises_on_a_replay(monkeypatch):
     cap = math.ceil(HEISENBERG.geometry.piece_bound(part.steps, lo, hi))
     monkeypatch.setattr(groups, "MAX_PIECES", cap)
     partition_norm(f, part, 1.0, 1.0)
-    assert "partition" in _SLOTS
+    assert "partition" in f._memo
     monkeypatch.setattr(groups, "MAX_PIECES", cap - 1)
     with pytest.raises(ValueError, match=rf"pieces, more than {cap - 1}"):
         partition_norm(f, part, 1.0, 1.0)
@@ -162,7 +161,7 @@ def test_a_lower_cap_raises_on_a_replay(monkeypatch):
     points = int(np.prod(np.maximum(2.0, np.ceil((hi - lo) / h))))
     monkeypatch.setattr(groups, "MAX_PIECES", points)
     ball_norm(f, HEISENBERG, 0.6, 1.0, 1.0)
-    assert "ball" in _SLOTS
+    assert "ball" in f._memo
     monkeypatch.setattr(groups, "MAX_PIECES", points - 1)
     with pytest.raises(ValueError, match=rf"needs {points} y-points, more than {points - 1}"):
         ball_norm(f, HEISENBERG, 0.6, 1.0, 1.0)
@@ -173,35 +172,35 @@ def test_memo_pieces_bounds_what_is_kept(g, monkeypatch):
     f = simple_function(g, CELLS[g.name])
     part = partition_for(f, g, 1.0)
     partition_norm(f, part, 1.0, 1.0)
-    pieces = sum(len(block[0]) for block in _SLOTS["partition"][2])
+    pieces = sum(len(block[0]) for block in f._memo["partition"][1])
     ball_norm(f, g, 1.0, 1.0, 1.0)
-    rows = sum(len(block[0]) for block in _SLOTS["ball"][2])
+    rows = sum(len(block[0]) for block in f._memo["ball"][1])
     assert 1 < pieces < amalgam.MEMO_PIECES and 1 < rows < amalgam.MEMO_PIECES
     for kind, size, call in (
-        ("partition", pieces, lambda: partition_norm(f, part, 2.0, 2.0)),
-        ("ball", rows, lambda: ball_norm(f, g, 1.0, 2.0, 2.0)),
+        ("partition", pieces, lambda h: partition_norm(h, part, 2.0, 2.0)),
+        ("ball", rows, lambda h: ball_norm(h, g, 1.0, 2.0, 2.0)),
     ):
-        _SLOTS.clear()
         monkeypatch.setattr(amalgam, "MEMO_PIECES", size)  # inclusive
-        value = call()
-        assert kind in _SLOTS
-        _SLOTS.clear()
+        h = replace(f)
+        value = call(h)
+        assert kind in h._memo
         monkeypatch.setattr(amalgam, "MEMO_PIECES", size - 1)
-        assert call() == value
-        assert kind not in _SLOTS
+        h = replace(f)
+        assert call(h) == value
+        assert kind not in h._memo
 
 
 def test_a_stream_that_raises_leaves_no_entry(monkeypatch):
     f = simple_function(REAL_LINE, CELLS["real-line"])
     partition_norm(f, partition_for(f, REAL_LINE, 1.0), 1.0, 1.0)
-    assert "partition" in _SLOTS
+    assert "partition" in f._memo
     # one radius per block, and the second radius past the cap: the first
     # block is summed before the stream raises
     monkeypatch.setattr(groups, "BLOCK_PIECES", 1)
     monkeypatch.setattr(groups, "MAX_PIECES", 100)
     with pytest.raises(ValueError, match="pieces, more than 100"):
         _partition_norms(f, REAL_LINE, [1.0, 1e-3], 1.0, 1.0)
-    assert "partition" not in _SLOTS
+    assert "partition" not in f._memo
 
 
 def test_replay_saves_only_a_finished_stream():
@@ -214,13 +213,36 @@ def test_replay_saves_only_a_finished_stream():
 
     with pytest.raises(ValueError, match="mid-stream"):
         list(_replay("k", f, (1,), broken))
-    assert "k" not in _SLOTS
+    assert "k" not in f._memo
     stream = _replay("k", f, (1,), lambda: iter(blocks))
     next(stream)
     stream.close()  # a consumer that stops early
-    assert "k" not in _SLOTS
+    assert "k" not in f._memo
     assert list(_replay("k", f, (1,), lambda: iter(blocks))) == blocks
-    assert _SLOTS["k"] == (f, (1,), blocks)
+    caps = (groups.MAX_PIECES, groups.BLOCK_PIECES)
+    assert f._memo["k"] == ((1, *caps), blocks)
     assert list(_replay("k", f, (1,), lambda: iter(()))) == blocks  # a replay
     assert list(_replay("k", f, (2,), lambda: iter(()))) == []  # another key
-    assert _SLOTS["k"] == (f, (2,), [])
+    assert f._memo["k"] == ((2, *caps), [])
+
+
+def test_alternating_functions_keep_their_own_streams(made):
+    f, h = (simple_function(REAL_LINE, cells) for cells in (CELLS["real-line"], CELLS["real-line"][:2]))
+    t = ExponentTriple(1.0, 2.0, 1.5)
+    ref = [_bits(fractional_norm_partition(replace(k), REAL_LINE, t, GRID).value) for k in (f, h)]
+    made.update(partition=0)
+    for k, want in zip((f, h, f, h), ref * 2):
+        assert _bits(fractional_norm_partition(k, REAL_LINE, t, GRID).value) == want
+    assert made["partition"] == 2
+
+
+def test_a_dropped_function_frees_its_blocks():
+    h = simple_function(HEISENBERG, CELLS["heisenberg"])
+    ball_norm(h, HEISENBERG, 1.0, 1.0, 1.0)
+    partition_norm(h, partition_for(h, HEISENBERG, 1.0), 1.0, 1.0)
+    assert set(h._memo) == {"ball", "partition"}
+    dropped = weakref.ref(h)
+    del h
+    gc.collect()
+    assert dropped() is None
+

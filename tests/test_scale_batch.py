@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amalgams import amalgam, groups
+from amalgams import groups
 from amalgams.amalgam import _segment_integrals, ball_norm, ball_norms, partition_norm
 from amalgams.counterexample import build_sparse_union
 from amalgams.fracmean import (
@@ -382,7 +382,7 @@ def test_ball_batch_across_blocks(monkeypatch):
     f = LINE_FUNCTIONS[-1]
     radii = RadiusGrid(0.125, 16.0, 3).radii()
     expected = {(q, p): [ball_norm(f, REAL_LINE, r, q, p) for r in radii] for q in QS for p in PS}
-    monkeypatch.setattr(amalgam, "BLOCK_PIECES", 1)
+    monkeypatch.setattr(groups, "BLOCK_PIECES", 1)
     for (q, p), ref in expected.items():
         assert _bits(ball_norms(f, REAL_LINE, radii, q, p)) == _bits(ref)
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from amalgams import amalgam, verify
-from amalgams.amalgam import _SLOTS, _replay, ball_norm, conv_q_indicator, partition_norm
+from amalgams.amalgam import _replay, ball_norm, conv_q_indicator, partition_norm
 from amalgams.fracmean import (
     NONTRIVIAL,
     ExponentTriple,
@@ -46,13 +46,6 @@ CFG = SuiteConfig(
     n_weak_embedding=4,
     n_limit=4,
 )
-
-
-@pytest.fixture(autouse=True)
-def empty_slots():
-    _SLOTS.clear()
-    yield
-    _SLOTS.clear()
 
 
 # -- the replaced code ---------------------------------------------------------
@@ -315,7 +308,6 @@ def _report(cases):
 def test_criterion_equals_its_per_exponent_loops(name):
     cfg = replace(CFG, criteria=(name,))
     new = run_suite(cfg)
-    _SLOTS.clear()
     ref = REPLACED[name][0](cfg)
     assert all(c.status == "pass" for c in new)
     assert _report(new) == _report(ref)
