@@ -17,10 +17,11 @@ sweep's sorted knots depend on the exponents, so each call leaves its
 blocks of them on the function for the next one (:func:`_replay`): per
 kind, f keeps the key (the radii or lattice steps, or the radius and
 mesh, with the work caps) and blocks of its last stream, and a call on
-the same f with an equal key sums them under its own (q, p).  A
-fractional-mean norm whose partition pieces are replayed also skips its
-scale checks (:func:`_holds`).  Only streams of at most ``MEMO_PIECES``
-array elements are kept, for as long as their function lives.
+the same f with an equal key sums them under its own (q, p).  A stream's
+``make`` runs all of its exponent-free work, checks included, so a replay
+skips it: a fractional-mean partition norm makes its scale checks there.
+Only streams of at most ``MEMO_PIECES`` array elements are kept, for as
+long as their function lives.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def partition_norm(
     _require_support_in_window(f, part)
     if f.is_zero():
         return 0.0
-    return _partition_sums(f, q, p, 1, (part.steps,), part.intersections_with_box)[0]
+    pieces = part.intersections_with_box
+    blocks = _replay("partition", f, (part.steps,), lambda: _sorted_pieces(pieces(f.lo, f.hi)))
+    return _partition_sums(f, q, p, 1, blocks)[0]
 
 
 # -- the exponent-free blocks a function keeps -------------------------------
@@ -103,31 +106,31 @@ def partition_norm(
 MEMO_PIECES = 1 << 14
 
 
-def _holds(kind: str, f: SimpleFunction, key: tuple) -> bool:
-    """Whether f keeps the blocks of ``kind`` at an equal key and the
-    current work caps (under a lowered cap a replay then raises where a new
-    stream would), so that :func:`_replay` would yield them."""
-    entry = f._memo.get(kind)
-    return entry is not None and entry[0] == (*key, groups.MAX_PIECES, groups.BLOCK_PIECES)
-
-
 def _replay(kind: str, f: SimpleFunction, key: tuple, make):
-    """The blocks of ``make()``, which depend on f and key alone.
+    """An iterator over the blocks of ``make()``, which depend on f and key
+    alone.
 
-    When f keeps the blocks of ``kind`` at an equal key and work caps, they
-    are yielded instead.  Otherwise f's entry of ``kind`` is dropped and
-    make's blocks are yielded as they are made; they become the entry only
-    once all of them are out and their first arrays hold at most
+    When f keeps the blocks of ``kind`` at an equal key and work caps (under
+    a lowered cap a replay then raises where a new stream would), they are
+    replayed and make is not called.  Otherwise make is called at once, so
+    that its checks raise here, and its blocks are yielded as they are made;
+    f's entry of ``kind`` is dropped when they start, and they become the
+    entry only once all of them are out and their first arrays hold at most
     MEMO_PIECES elements together, so a stream that is larger, or whose
     consumer stops early or raises, saves nothing.  Consumers must not
     write to the blocks."""
-    if _holds(kind, f, key):
-        yield from f._memo[kind][1]
-        return
     key = (*key, groups.MAX_PIECES, groups.BLOCK_PIECES)
+    entry = f._memo.get(kind)
+    if entry is not None and entry[0] == key:
+        return iter(entry[1])
+    return _kept(kind, f, key, make())
+
+
+def _kept(kind: str, f: SimpleFunction, key: tuple, blocks):
+    """The blocks of a new stream, kept on f as :func:`_replay` says."""
     f._memo.pop(kind, None)
     saved, rows = [], 0
-    for block in make():
+    for block in blocks:
         if saved is not None:
             rows += block[0].size
             if rows <= MEMO_PIECES:
@@ -139,12 +142,10 @@ def _replay(kind: str, f: SimpleFunction, key: tuple, make):
         f._memo[kind] = (key, saved)
 
 
-def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, key: tuple, pieces_of) -> list[float]:
+def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, blocks) -> list[float]:
     """The partition norms of a nonzero f at n radii from the blocks of
-    whole radii (radius, box, cell index, measure) that ``pieces_of(lo,
-    hi)`` cuts from its cells, grouped by :func:`_sorted_pieces` and
-    replayed for the next call on f with an equal key, which names the
-    radii.  np.bincount sums each cell's pieces one after another; the
+    :func:`_sorted_pieces`, the pieces of f's cells grouped by radius and
+    cell.  np.bincount sums each cell's pieces one after another; the
     per-cell powers and the sum over cells stay in Python (libm's powers,
     fsum).  Where the cells' sums lose digits (:func:`_cells_hold`), the
     local norms are taken by :func:`_power_sums` instead.  A radius without
@@ -155,7 +156,6 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, key: tuple, p
     v = np.array(powers)
     plain = math.isinf(q) or _cells_hold(f, q, powers)
     norms = [0.0] * n
-    blocks = _replay("partition", f, key, lambda: _sorted_pieces(f, pieces_of))
     for box, m, runs, starts, firsts, owners in blocks:
         if math.isinf(q):
             local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0), starts).tolist()
@@ -169,13 +169,13 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, key: tuple, p
     return norms
 
 
-def _sorted_pieces(f: SimpleFunction, pieces_of):
-    """The nonempty blocks of ``pieces_of`` for the cells of f, grouped by
-    (radius, cell index) with a stable sort, so that each cell's pieces stay
-    in stream order: (box, measure, run id of each piece, first piece of
-    each run, first run of each radius (a list), radius of those runs (a
-    list))."""
-    for radius, box, idx, m in pieces_of(f.lo, f.hi):
+def _sorted_pieces(pieces):
+    """The nonempty blocks of whole radii (radius, box, cell index, measure)
+    of a ``partition_pieces`` stream, grouped by (radius, cell index) with a
+    stable sort, so that each cell's pieces stay in stream order: (box,
+    measure, run id of each piece, first piece of each run, first run of
+    each radius (a list), radius of those runs (a list))."""
+    for radius, box, idx, m in pieces:
         if not len(radius):
             continue
         order = np.lexsort((*idx.T[::-1], radius))
@@ -320,9 +320,12 @@ _RAMPS = np.array([1.0, -1.0, -1.0, 1.0])
 def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -> list[float]:
     cells = f.cells
     e = _unit_exponent(f.max_value, q, p)
+    if math.isinf(q) and math.isinf(p):
+        return [max(c.value for c in cells)] * len(radii)
+    ((a, b),), r_max = f.bounding_box(), max(radii)
+    if not math.isfinite((b + r_max) - (a - r_max)):
+        raise ValueError(RANGE_ERROR)  # a knot, or the span of the knots, past the float range
     if math.isinf(q):
-        if math.isinf(p):
-            return [max(c.value for c in cells)] * len(radii)
         return [_sup_ball_norm_line(f, r, p, e) for r in radii]
     scale = f.group.measure_scale
     powers = [math.ldexp(c.value, -e) ** q for c in cells]

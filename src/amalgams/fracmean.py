@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .amalgam import _holds, _partition_sums, ball_norms
+from . import amalgam  # _replay is looked up on each call, so that a wrapped one sees these calls too
+from .amalgam import _partition_sums, _sorted_pieces, ball_norms
 from .groups import Box, GroupDescriptor
 from .partitions import UniformPartition, build_pi_r, cell_shape, cell_steps, check_scales
 from .simplefn import SimpleFunction, _check_exponent
@@ -185,22 +186,24 @@ def _partition_norms(
 ) -> list[float]:
     """``partition_norm(f, partition_for(f, g, r), q, p)`` for each r of
     radii, bit for bit, from one ``partition_pieces`` stream; the steps,
-    windows and scale checks of all radii are made in one pass.  They
-    depend on f, g and the radii alone, so a call whose pieces the memo
-    replays (:func:`amalgam._holds`) skips them: they passed when its
-    entry was made."""
+    windows and scale checks of all radii are made in one pass, by the
+    stream's make.  They depend on f, g and the radii alone, so a call whose
+    pieces the memo replays (:func:`amalgam._replay`) skips them: they
+    passed when its entry was made."""
     if f.group.name != g.name:
         raise ValueError("function and partition live on different groups")
-    key = (g, tuple(radii))
-    steps = None
-    if not _holds("partition", f, key):
+
+    def make():
         steps = cell_steps(g, radii)
         check_scales(g, radii, steps, _windows(f, g, steps))
+        return _sorted_pieces(g.geometry.partition_pieces(steps, f.lo, f.hi))
+
+    blocks = amalgam._replay("partition", f, (g, tuple(radii)), make)
     q = _check_exponent(q)
     p = _check_exponent(p)
     if f.is_zero():
         return [0.0] * len(radii)
-    return _partition_sums(f, q, p, len(radii), key, lambda lo, hi: g.geometry.partition_pieces(steps, lo, hi))
+    return _partition_sums(f, q, p, len(radii), blocks)
 
 
 @dataclass(frozen=True)
@@ -229,13 +232,12 @@ def fractional_norm_partition(
     g: GroupDescriptor,
     t: ExponentTriple,
     grid: RadiusGrid,
-    cap: float = DIVERGENCE_CAP,
 ) -> FracNormResult:
     """max over the grid of lambda(B(e,r))^(1/alpha - 1/q) ||f||_{q,p} over pi_r."""
     w = g.rho * (inv(t.alpha) - inv(t.q))
     radii = grid.radii()
     norms = _partition_norms(f, g, radii, t.q, t.p)
-    value, arg, div = _weighted_max([(r, r**w * n) for r, n in zip(radii, norms)], cap)
+    value, arg, div = _weighted_max([(r, r**w * n) for r, n in zip(radii, norms)], DIVERGENCE_CAP)
     return FracNormResult(
         value, arg, t.classify(), "partition", div, t.uses_infinite_q_convention()
     )
@@ -247,13 +249,12 @@ def fractional_norm_ball(
     t: ExponentTriple,
     grid: RadiusGrid,
     mesh: float | None = None,
-    cap: float = DIVERGENCE_CAP,
 ) -> FracNormResult:
     """max over the grid of lambda(B)^(1/alpha - 1/q - 1/p) times the ball norm."""
     w = g.rho * (inv(t.alpha) - inv(t.q) - inv(t.p))
     radii = grid.radii()
     norms = ball_norms(f, g, radii, t.q, t.p, mesh)
-    value, arg, div = _weighted_max([(r, r**w * n) for r, n in zip(radii, norms)], cap)
+    value, arg, div = _weighted_max([(r, r**w * n) for r, n in zip(radii, norms)], DIVERGENCE_CAP)
     return FracNormResult(
         value, arg, t.classify(), "ball", div, t.uses_infinite_q_convention()
     )
@@ -290,28 +291,20 @@ def divergence_diagnostic(
     kind = t.classify()
     if kind == NONTRIVIAL:
         raise ValueError("divergence_diagnostic needs a degenerate exponent triple")
+    low = kind == DEGENERATE_LOW
+    theory = g.rho * (inv(t.alpha) - (inv(t.q) if low else inv(t.p)))
+    end = "r->inf" if low else "r->0"
     if f.is_zero():
-        theory = g.rho * (
-            (inv(t.alpha) - inv(t.q)) if kind == DEGENERATE_LOW else (inv(t.alpha) - inv(t.p))
-        )
-        return DivergenceDiagnostic(None, theory, "r->inf" if kind == DEGENERATE_LOW else "r->0", (), ())
+        return DivergenceDiagnostic(None, theory, end, (), ())
     w = g.rho * (inv(t.alpha) - inv(t.q))
-    if kind == DEGENERATE_LOW:
-        theory = g.rho * (inv(t.alpha) - inv(t.q))
-        if grid is not None:
-            radii = grid.radii()[-points:]
-        else:
-            r0 = 16.0 * support_scale(f) * g.gamma**2
-            radii = [r0 * 2.0**k for k in range(points)]
-        end = "r->inf"
+    if grid is not None:
+        radii = grid.radii()[-points:] if low else grid.radii()[:points]
+    elif low:
+        r0 = 16.0 * support_scale(f) * g.gamma**2
+        radii = [r0 * 2.0**k for k in range(points)]
     else:
-        theory = g.rho * (inv(t.alpha) - inv(t.p))
-        if grid is not None:
-            radii = grid.radii()[:points]
-        else:
-            r0 = _min_cell_extent(f) / 4.0
-            radii = [r0 * 2.0**-k for k in range(points)]
-        end = "r->0"
+        r0 = _min_cell_extent(f) / 4.0
+        radii = [r0 * 2.0**-k for k in range(points)]
     norms = _partition_norms(f, g, radii, t.q, t.p)
     vals = [r**w * n for r, n in zip(radii, norms)]
     slope = (math.log(vals[-1]) - math.log(vals[0])) / (

@@ -259,6 +259,8 @@ def test_norms_of_extreme_multiples_scale_exactly(g, factor):
 ONE = line_fn((0.0, 2.0, 1.0))  # value 1 on measure 1
 THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
 WIDE = line_fn((0.0, 1e300, 1.0))  # value 1 on [0, 1e300)
+UNIT = line_fn((0.0, 1.0, 1.0))  # value 1 on [0, 1)
+HUGE = line_fn((-1.5e308, 0.0, 1.0), (0.0, 1.5e308, 1.0))  # value 1 on [-1.5e308, 1.5e308)
 # values 0.15-0.21 on the plane; the ball B((2.5, -1), 8) holds every cell
 SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
 
@@ -286,6 +288,17 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         # it is 4.6e374, so no float can match it
         (lambda: ball_norm(WIDE, REAL_LINE, 1e300, 2.0, 4.0), 0.6756000774035171e225, True),
         (lambda: ball_norm(WIDE, REAL_LINE, 1e300, 1.0, 4.0), math.nan, True),
+        # the knot b + r past the float range: at p = inf the norm is
+        # lambda(B(e, r)) = r at q = 1 and its root at q = 2
+        (lambda: ball_norm(HUGE, REAL_LINE, 1e308, 1.0, INF), 1e308, True),
+        (lambda: ball_norm(HUGE, REAL_LINE, 1e308, 2.0, INF), 1e154, True),
+        # knots in range, but not the gap from the first to the last: the
+        # norm is 1/2 at (1, inf), sqrt(r) at (inf, 2) and sqrt(r) / 2 at (1, 2)
+        (lambda: ball_norm(UNIT, REAL_LINE, 1.7e308, 1.0, INF), 0.5, True),
+        (lambda: ball_norm(UNIT, REAL_LINE, 1.7e308, INF, 2.0), math.sqrt(1.7e308), True),
+        (lambda: ball_norm(UNIT, REAL_LINE, 1.7e308, 1.0, 2.0), math.sqrt(1.7e308) / 2.0, True),
+        (lambda: ball_norm(UNIT, REAL_LINE, 8e307, 1.0, INF), 0.5, False),
+        (lambda: ball_norm(UNIT, REAL_LINE, 8e307, INF, 2.0), 8.944271909999159e153, False),
     ],
     ids=[
         "lebesgue",
@@ -301,6 +314,13 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         "conv-power-q100",
         "wide-ball-q2-p4",
         "wide-ball-q1-p4",
+        "huge-ball-q1-pinf",
+        "huge-ball-q2-pinf",
+        "unit-ball-r1.7e308-q1-pinf",
+        "unit-ball-r1.7e308-qinf-p2",
+        "unit-ball-r1.7e308-q1-p2",
+        "unit-ball-r8e307-q1-pinf",
+        "unit-ball-r8e307-qinf-p2",
     ],
 )
 def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from amalgams import amalgam, fracmean
+from amalgams import amalgam, fracmean, groups
 from amalgams.amalgam import _replay, ball_norm, ball_norms
 from amalgams.fracmean import (
     ExponentTriple,
@@ -142,7 +142,7 @@ def test_errors_keep_their_order_around_a_replay():
     # right after a replay of the good radii
     _partition_norms(f, REAL_LINE, good, 1.0, 1.0)
     _partition_norms(f, REAL_LINE, good, 2.0, 2.0)
-    assert amalgam._holds("partition", f, (REAL_LINE, tuple(good)))
+    assert f._memo["partition"][0] == (REAL_LINE, tuple(good), groups.MAX_PIECES, groups.BLOCK_PIECES)
     with pytest.raises(ValueError, match="different groups"):
         _partition_norms(f, ANISO_PLANE, good, 0.5, 2.0)
     with pytest.raises(ValueError, match=scale):

@@ -226,6 +226,29 @@ def test_replay_saves_only_a_finished_stream():
     assert f._memo["k"] == ((2, *caps), [])
 
 
+def test_a_miss_makes_its_stream_at_once_and_a_hit_never():
+    f = simple_function(REAL_LINE, CELLS["real-line"])
+    blocks = [(np.arange(3),), (np.arange(2),)]
+    calls = []
+
+    def make():
+        calls.append(1)
+        return iter(blocks)
+
+    def checks():
+        raise ValueError("checks")
+
+    stream = _replay("k", f, (1,), make)
+    assert calls == [1]  # before the first block is asked for
+    assert list(stream) == blocks
+    assert list(_replay("k", f, (1,), make)) == blocks
+    assert calls == [1]
+    # a make that raises does so from _replay itself, and leaves the entry
+    with pytest.raises(ValueError, match="checks"):
+        _replay("k", f, (2,), checks)
+    assert list(_replay("k", f, (1,), checks)) == blocks
+
+
 def test_alternating_functions_keep_their_own_streams(made):
     f, h = (simple_function(REAL_LINE, cells) for cells in (CELLS["real-line"], CELLS["real-line"][:2]))
     t = ExponentTriple(1.0, 2.0, 1.5)
