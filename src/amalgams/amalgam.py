@@ -5,8 +5,9 @@ The partition form sums exact cell intersections and is closed-form on
 every instance: one accumulator (:func:`_partition_sums`) sums per cell
 the pieces the group's ``partition_pieces`` cuts for one or many radii.
 The ball form integrates y -> ||f.chi_{yB}||_q over the group: on the
-real line the integrand is piecewise linear in y, so the norm is
-computed exactly by breakpoint decomposition; on the other instances a
+real line one stream of sorted knots serves every (q, p), the integrand
+being piecewise linear in y at finite q and a step function at q = inf,
+so the norm is computed exactly between knots; on the other instances a
 midpoint mesh in y (with an exact or semi-exact overlap per mesh point)
 is used and the mesh is reported alongside the value.  The y-domain is
 always clipped to the inflated support neighbourhood, which is exact
@@ -26,7 +27,6 @@ long as their function lives.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -158,7 +158,7 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, blocks) -> li
     norms = [0.0] * n
     for box, m, runs, starts, firsts, owners in blocks:
         if math.isinf(q):
-            local = np.maximum.reduceat(np.where(m > 0.0, v[box], 0.0), starts).tolist()
+            local = np.maximum.reduceat(v[box], starts).tolist()
         elif plain:
             sums = np.bincount(runs, weights=v[box] * m)
             local = [a ** (1.0 / q) for a in sums.tolist()]
@@ -285,8 +285,8 @@ def ball_norms(
     mesh: float | None = None,
 ) -> list[float]:
     """``ball_norm`` at every radius of radii, the arguments checked once;
-    on the line one sweep serves every radius, bit-identical to the
-    single-radius calls."""
+    on the line one stream of sorted knots serves every radius and every
+    (q, p), bit-identical to the single-radius calls."""
     return _ball_norms(f, g, radii, q, p, mesh)
 
 
@@ -322,16 +322,18 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     e = _unit_exponent(f.max_value, q, p)
     if math.isinf(q) and math.isinf(p):
         return [max(c.value for c in cells)] * len(radii)
-    ((a, b),), r_max = f.bounding_box(), max(radii)
-    if not math.isfinite((b + r_max) - (a - r_max)):
-        raise ValueError(RANGE_ERROR)  # a knot, or the span of the knots, past the float range
-    if math.isinf(q):
-        return [_sup_ball_norm_line(f, r, p, e) for r in radii]
     scale = f.group.measure_scale
-    powers = [math.ldexp(c.value, -e) ** q for c in cells]
-    if not _cells_hold(f, q, powers):
-        raise ValueError(RANGE_ERROR)  # the sweep is no power sum
-    w = np.array([x * scale for x in powers])
+    if math.isinf(q):  # peaks[l, i]: the largest of cells i..i + 2**l - 1 in order of a, by 2**-e
+        peaks = [np.array([math.ldexp(c.value, -e) for c in cells])[f.lo[:, 0].argsort()]]
+        for h in (1 << j for j in range(len(cells).bit_length() - 1)):
+            peaks.append(np.concatenate([np.maximum(peaks[-1][:-h], peaks[-1][h:]), peaks[-1][-h:]]))
+        peaks = np.array(peaks)
+    else:
+        powers = [math.ldexp(c.value, -e) ** q for c in cells]
+        if not _cells_hold(f, q, powers):
+            raise ValueError(RANGE_ERROR)  # the sweep is no power sum
+        w = np.array([x * scale for x in powers])
+        dw = (w[:, None] * _RAMPS).ravel()
     # phi(y) = sum_i v_i^q lambda([a_i, b_i) ^ (y-r, y+r)) is piecewise
     # linear; each cell contributes slope +w on [a-r, a-r+W) and -w on
     # [b+r-W, b+r) with W = min(b-a, 2r).  Each row of the event arrays
@@ -343,27 +345,29 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     # no gap to rise over: its rise w W enters as a jump at the last of the
     # knots equal to the coincident one, so that phi there is the right
     # limit and at the first of them the left limit.
-    dw = (w[:, None] * _RAMPS).ravel()
-    per_block = max(1, groups.BLOCK_PIECES // dw.size)
+    per_block = max(1, groups.BLOCK_PIECES // (4 * len(cells)))
+    lo, hi = f.lo[:, 0], f.hi[:, 0]
 
     def knot_blocks():  # each block's knot order, runs and gaps, replayed for the next call at these radii
-        lo, hi = f.lo[:, 0], f.hi[:, 0]
         for b0 in range(0, len(radii), per_block):
             r = np.array(radii[b0 : b0 + per_block])[:, None]
-            width = np.minimum(hi - lo, r + r)
             knots = np.empty((4, len(r), len(cells)))
             start, top, fall, end = knots[0], knots[1], knots[2], knots[3]
-            np.subtract(lo, r, out=start)
-            np.add(start, width, out=top)
-            np.add(hi, r, out=end)
-            np.subtract(end, width, out=fall)
-            y = knots.transpose(1, 2, 0).reshape(len(r), -1)  # cell by cell
-            order = y.argsort(axis=1, kind="stable")
-            y = y[np.arange(len(r))[:, None], order].ravel()
-            k = y.size // len(r)  # knots per row
-            head = np.empty(y.size, dtype=bool)  # the first of each run of equal knots
-            np.not_equal(y[1:], y[:-1], out=head[1:])
-            head[::k] = True
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                width = np.minimum(hi - lo, r + r)
+                np.subtract(lo, r, out=start)
+                np.add(start, width, out=top)
+                np.add(hi, r, out=end)
+                np.subtract(end, width, out=fall)
+                y = knots.transpose(1, 2, 0).reshape(len(r), -1)  # cell by cell
+                order = y.argsort(axis=1, kind="stable")
+                y = y[np.arange(len(r))[:, None], order]
+                gaps = np.zeros(y.shape)  # from each knot to the next; 0 after a row's last
+                np.subtract(y[:, 1:], y[:, :-1], out=gaps[:, :-1])
+            if not np.isfinite(gaps).all():
+                raise ValueError(RANGE_ERROR)  # a knot, or a gap between knots, past the float range
+            head = np.ones(y.shape, dtype=bool)  # the first of each run of equal knots
+            np.not_equal(gaps[:, :-1], 0.0, out=head[:, 1:])
             runs = head.cumsum()  # each knot's run, from 1
             collapsed = knots[1:3] == knots[::3]  # top == start, fall == end
             jumps = None
@@ -374,17 +378,15 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
                 rises[..., 2] = np.where(down, -width, 0.0)
                 rises = np.take_along_axis(rises.reshape(len(r), -1), order, axis=1).ravel()
                 at = np.flatnonzero(rises)
-                tail = np.ones(y.size, dtype=bool)
-                tail[:-1] = head[1:]
-                jumps = np.flatnonzero(tail)[runs[at] - 1], order.ravel()[at] // 4, rises[at]
-            gaps = np.empty(y.size)  # from each knot to the next; 0 after a row's last
-            np.subtract(y[1:], y[:-1], out=gaps[:-1])
-            gaps[k - 1 :: k] = 0.0
-            head, gaps = head.reshape(len(r), k), gaps.reshape(len(r), k)
+                jumps = runs.searchsorted(runs[at], side="right") - 1, order.ravel()[at] // 4, rises[at]
             yield order, head, runs, gaps, jumps
 
     norms = []
     for order, head, runs, gaps, jumps in _replay("ball", f, (tuple(radii),), knot_blocks):
+        if math.isinf(q):
+            r = np.array(radii[len(norms) : len(norms) + len(order)])[:, None]
+            norms += _sup_norms(order, lo, hi, r, peaks, p, e, scale)
+            continue
         # the merged slope of each run of equal knots sits at its head
         merged = np.zeros(gaps.shape)
         merged[head] = np.bincount(runs, weights=dw[order].ravel())[1:]
@@ -411,6 +413,34 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             raise ValueError(RANGE_ERROR)  # an integral of powers is no power sum
         norms += [_times_pow2(t ** (1.0 / p), e) for t in totals]
     return norms
+
+
+def _sup_norms(order, lo, hi, r, peaks, p: float, e: int, scale: float) -> list[float]:
+    """The ball norms at q = inf at the radii r of a block of knot orders,
+    peaks being the range maxima of the values by 2**-e in order of a.  On
+    [y0, y1) between consecutive distinct knots a - r or b + r (kinds 0 and
+    3), ||f chi_{yB}||_inf is the largest value of the cells with a - r <=
+    y0 and y1 <= b + r.  Disjoint cells in order of a are in order of b
+    too, so these are the range [E, S) of that order, where E knots b + r
+    and S knots a - r lie at or before y0.  Each row's v^p dy scale are
+    summed left to right, the powers by Python's (libm's) pow."""
+    kind = order % 4
+    cell, kind = (x[kind % 3 == 0].reshape(len(r), -1) for x in (order // 4, kind))
+    y = np.where(kind == 0, lo[cell] - r, hi[cell] + r)  # the sorted knots, as knot_blocks makes them
+    with np.errstate(over="ignore"):
+        dy = y[:, 1:] - y[:, :-1]
+    if not np.isfinite(dy).all():
+        raise ValueError(RANGE_ERROR)  # a segment past the float range, its knots and their gaps in it
+    stop, first = (kind == 0).cumsum(axis=1)[:, :-1], (kind == 3).cumsum(axis=1)[:, :-1]  # S, E
+    at = np.flatnonzero((dy > 0.0) & (first < stop))
+    dy, stop, first = dy.ravel()[at], stop.ravel()[at], first.ravel()[at]
+    level = np.frexp(stop - first)[1] - 1  # floor(log2(S - E))
+    values = np.maximum(peaks[level, first], peaks[level, stop - (1 << level)]).tolist()
+    powers = [v**p for v in values]
+    terms = [x * d * scale for x, d in zip(powers, dy.tolist())]
+    widths = (dy * scale).tolist()
+    rows = at.searchsorted(np.arange(len(y)) * (y.shape[1] - 1)).tolist() + [len(at)]  # each row's first
+    return [_root(sum(terms[a:b]), p, e, values[a:b], widths[a:b], powers[a:b]) for a, b in zip(rows, rows[1:])]
 
 
 def _segment_integrals(phi: np.ndarray, gaps: np.ndarray, s: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -460,37 +490,6 @@ def _segment_integrals(phi: np.ndarray, gaps: np.ndarray, s: float, scale: float
         piece *= scale
         at = keep.nonzero()[0]
         return at, piece[at]
-
-
-def _sup_ball_norm_line(f: SimpleFunction, r: float, p: float, e: int) -> float:
-    """The ball norm at q = inf: ||f chi_{yB}||_inf is a step function of y
-    with jumps at a-r, b+r.
-
-    On the segment between two knots it is the largest value of the cells
-    with a - r < ym < b + r, ym the segment's midpoint.  The midpoints
-    never decrease, so one sweep keeps those cells on a max-heap: a cell
-    is pushed once its a - r lies below ym, and dropped from the top once
-    its b + r is at or below ym (it cannot come back)."""
-    cells = f.cells
-    scale = f.group.measure_scale
-    starts = sorted((c.lo[0] - r, c.value, c.hi[0] + r) for c in cells)
-    knots = sorted({s for s, _, _ in starts} | {end for _, _, end in starts})
-    heap: list[tuple[float, float]] = []
-    nxt = 0
-    values, widths = [], []
-    for y0, y1 in zip(knots[:-1], knots[1:]):
-        ym = 0.5 * (y0 + y1)
-        while nxt < len(starts) and starts[nxt][0] < ym:
-            heapq.heappush(heap, (-starts[nxt][1], starts[nxt][2]))
-            nxt += 1
-        while heap and heap[0][1] <= ym:
-            heapq.heappop(heap)
-        if heap:
-            values.append(math.ldexp(-heap[0][0], -e))
-            widths.append(y1 - y0)
-    powers = [v**p for v in values]
-    total = sum(x * dy * scale for x, dy in zip(powers, widths))
-    return _root(total, p, e, values, [dy * scale for dy in widths], powers)
 
 
 def _ball_norm_quadrature(

@@ -145,10 +145,10 @@ def _radius_blocks(per_radius: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _axis_range(lo: float, hi: float, step: float) -> range:
-    """Lattice indices k whose cell [k*step, (k+1)*step) meets [lo, hi)."""
+    """Lattice indices k whose cell [k*step, (k+1)*step) meets [lo, hi), at
+    least one: hi / step may round, or underflow, onto lo / step."""
     k_min = math.floor(lo / step)
-    k_max = math.ceil(hi / step) - 1
-    return range(k_min, k_max + 1)
+    return range(k_min, max(math.ceil(hi / step), k_min + 1))
 
 
 def _box_cells(lo, hi, steps) -> int:
@@ -160,7 +160,7 @@ def _lattice_counts(lo, hi, steps) -> tuple[np.ndarray, np.ndarray]:
     """First index and length of _axis_range(lo, hi, step), elementwise, as
     floats: products of the lengths cannot wrap around there."""
     k_min = np.floor(lo / steps)
-    return k_min, np.maximum(np.ceil(hi / steps) - k_min, 0.0)
+    return k_min, np.maximum(np.ceil(hi / steps) - k_min, 1.0)
 
 
 def check_pieces(steps, pieces: float) -> None:

@@ -261,6 +261,11 @@ THIN = line_fn((0.0, 2e-100, 1.0))  # value 1 on measure 1e-100
 WIDE = line_fn((0.0, 1e300, 1.0))  # value 1 on [0, 1e300)
 UNIT = line_fn((0.0, 1.0, 1.0))  # value 1 on [0, 1)
 HUGE = line_fn((-1.5e308, 0.0, 1.0), (0.0, 1.5e308, 1.0))  # value 1 on [-1.5e308, 1.5e308)
+FAR = line_fn((1e308, 1.1e308, 1.0))  # value 1 on [1e308, 1.1e308)
+# value 1 on three cells whose knots span more than the float range
+SPREAD = line_fn((-1e308, -1e308 + 1e292, 1.0), (0.0, 1.0, 1.0), (1e308 - 1e292, 1e308, 1.0))
+WIDE_CELL = line_fn((-0.9e308, 0.89e308, 1.0))  # knots a - r, b + r 1.99e308 apart at r = 1e307
+SPECK = line_fn((0.0, 5e-324, 7.0), (1.0, 2.0, 1.0))  # a cell of measure below the float range
 # values 0.15-0.21 on the plane; the ball B((2.5, -1), 8) holds every cell
 SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
 
@@ -299,6 +304,19 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         (lambda: ball_norm(UNIT, REAL_LINE, 1.7e308, 1.0, 2.0), math.sqrt(1.7e308) / 2.0, True),
         (lambda: ball_norm(UNIT, REAL_LINE, 8e307, 1.0, INF), 0.5, False),
         (lambda: ball_norm(UNIT, REAL_LINE, 8e307, INF, 2.0), 8.944271909999159e153, False),
+        # every knot and gap in range: (b + r) - (a - r) times the measure scale 1/2
+        (lambda: ball_norm(FAR, REAL_LINE, 1.0, INF, 1.0), 4.999999999999998e306, False),
+        # the gaps between knots in range, though not their span
+        (lambda: ball_norm(SPREAD, REAL_LINE, 1.0, 1.0, 1.0), 1.99584030953472e292, False),
+        (lambda: ball_norm(SPREAD, REAL_LINE, 1.0, INF, 1.0), 1.99584030953472e292, False),
+        (lambda: ball_norm(SPREAD, REAL_LINE, 1.0, 1.0, INF), 1.0, False),
+        (lambda: ball_norm(SPREAD, REAL_LINE, 1.0, 1.0, 2.0), 1.412742124216136e146, False),
+        # every gap between knots in range, but not the segment from a - r to b + r
+        (lambda: ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, 1.0), 0.995e308, True),
+        # at q = inf a piece counts by overlap, though its measure is 0.0
+        (lambda: partition_norm(SPECK, partition_for(SPECK, REAL_LINE, 0.5), INF, INF), 7.0, False),
+        (lambda: partition_norm(SPECK, partition_for(SPECK, REAL_LINE, 1.0), INF, INF), 7.0, False),
+        (lambda: partition_norm(SPECK, partition_for(SPECK, REAL_LINE, 4.0), INF, INF), 7.0, False),
     ],
     ids=[
         "lebesgue",
@@ -321,6 +339,15 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         "unit-ball-r1.7e308-q1-p2",
         "unit-ball-r8e307-q1-pinf",
         "unit-ball-r8e307-qinf-p2",
+        "far-ball-qinf-p1",
+        "spread-ball-q1-p1",
+        "spread-ball-qinf-p1",
+        "spread-ball-q1-pinf",
+        "spread-ball-q1-p2",
+        "wide-cell-ball-r1e307-qinf-p1",
+        "speck-partition-r0.5-qinf-pinf",
+        "speck-partition-r1-qinf-pinf",
+        "speck-partition-r4-qinf-pinf",
     ],
 )
 def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):

@@ -123,15 +123,16 @@ def test_translate_batch_draws_the_same_centres():
 
 
 def _scan_sup_ball_norm(f, r, p):
-    """The O(knots x cells) scan the heap sweep replaced."""
+    """The O(knots x cells) scan of the exact activity rule: a cell counts on
+    the segment [y0, y1) between consecutive knots iff a - r <= y0 and
+    y1 <= b + r, with no midpoint to round or overflow."""
     cells = f.cells
     scale = f.group.measure_scale
     e = _unit_exponent(f.max_value, INF, p)
     knots = sorted({c.lo[0] - r for c in cells} | {c.hi[0] + r for c in cells})
     total = 0.0
     for y0, y1 in zip(knots[:-1], knots[1:]):
-        ym = 0.5 * (y0 + y1)
-        v = max((c.value for c in cells if c.lo[0] - r < ym < c.hi[0] + r), default=0.0)
+        v = max((c.value for c in cells if c.lo[0] - r <= y0 and y1 <= c.hi[0] + r), default=0.0)
         total += math.ldexp(v, -e) ** p * (y1 - y0) * scale
     return _times_pow2(total ** (1.0 / p), e)
 
@@ -148,7 +149,12 @@ SUP_FUNCTIONS = [
     # 1-ulp cells and gaps: 1-ulp segments between knots
     _line([(1.0, 1.0 + ULP, 5.0), (1.0 + 2 * ULP, 2.0, 1.0), (2.0, 2.0 + 2 * ULP, 7.0)]),
     _line([(-1.0, 0.0, 3.0), (0.0, math.nextafter(0.0, 1.0), 4.0), (0.25, 0.5, 3.0)]),
-] + [gen_random_simple(s, 1 + s % 12, ((-4.0, 4.0),), REAL_LINE) for s in range(6)]
+] + [gen_random_simple(s, 1 + s % 12, ((-4.0, 4.0),), REAL_LINE) for s in range(6)] + [
+    # a 1-ulp cell: 0.5000000000000006 at r = 1e-300, p = 1, where a midpoint rule drops it
+    _line([(1.0, 1.0 + ULP, 5.0), (2.0, 3.0, 1.0)]),
+    # a - r of both cells tie at r >= 1, and the cells are not in order of a
+    _line([(1e-17, 100.0, 1.0), (0.0, 1e-17, 5.0)]),
+]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])

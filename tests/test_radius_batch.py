@@ -244,11 +244,13 @@ def test_ball_box_measure_takes_an_array_of_radii(g, window, x):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The suite's batched calls, as (kind, function, q, p, radii)."""
-    seen = []
+    """The suite's batched calls, as (kind, function, q, p, radii).  Each
+    function is kept alive, so that no later function reuses its id."""
+    seen, alive = [], []
 
     def counting(kind, fn):
         def wrapper(f, *args, **kwargs):
+            alive.append(f)
             if kind == "conv":
                 q, radii = args[0], args[1]
                 seen.append((kind, id(f), q, None, len(radii)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from amalgams import amalgam, groups
-from amalgams.amalgam import _replay, ball_norm, compute_norm, partition_norm
+from amalgams.amalgam import _replay, ball_norm, ball_norms, compute_norm, partition_norm
 from amalgams.fracmean import (
     ExponentTriple,
     RadiusGrid,
@@ -257,6 +257,16 @@ def test_alternating_functions_keep_their_own_streams(made):
     for k, want in zip((f, h, f, h), ref * 2):
         assert _bits(fractional_norm_partition(k, REAL_LINE, t, GRID).value) == want
     assert made["partition"] == 2
+
+
+def test_a_sup_ball_norm_on_the_line_makes_the_knots_every_q_replays(made):
+    f = simple_function(REAL_LINE, CELLS["real-line"])
+    ref = [_bits(v) for v in ball_norms(replace(f), REAL_LINE, list(RADII), 2.0, 3.0)]
+    made.update(ball=0)
+    assert min(ball_norms(f, REAL_LINE, list(RADII), INF, 2.0)) > 0.0
+    assert made["ball"] == 1 and "ball" in f._memo
+    assert [_bits(v) for v in ball_norms(f, REAL_LINE, list(RADII), 2.0, 3.0)] == ref
+    assert made["ball"] == 1
 
 
 def test_a_dropped_function_frees_its_blocks():
