@@ -323,8 +323,10 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     if math.isinf(q) and math.isinf(p):
         return [max(c.value for c in cells)] * len(radii)
     scale = f.group.measure_scale
+    along = f.axis0_order  # None where f's cells are in order of a
     if math.isinf(q):  # peaks[l, i]: the largest of cells i..i + 2**l - 1 in order of a, by 2**-e
-        peaks = [np.array([math.ldexp(c.value, -e) for c in cells])[f.lo[:, 0].argsort()]]
+        v = np.array([math.ldexp(c.value, -e) for c in cells])
+        peaks = [v if along is None else v[along]]
         for h in (1 << j for j in range(len(cells).bit_length() - 1)):
             peaks.append(np.concatenate([np.maximum(peaks[-1][:-h], peaks[-1][h:]), peaks[-1][-h:]]))
         peaks = np.array(peaks)
@@ -337,9 +339,12 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     # phi(y) = sum_i v_i^q lambda([a_i, b_i) ^ (y-r, y+r)) is piecewise
     # linear; each cell contributes slope +w on [a-r, a-r+W) and -w on
     # [b+r-W, b+r) with W = min(b-a, 2r).  Each row of the event arrays
-    # holds one radius' events, cell by cell; a stable sort puts equal
-    # knots together in that order, so the slope merged at a knot, its
-    # running sum and phi are the same sums, in the same order, as a
+    # holds one radius' events, cell by cell in order along the line, where
+    # a stable sort mostly merges presorted runs; each sorted event is then
+    # mapped back to its place 4 i + kind in f's cell-by-cell order, and
+    # equal knots are put in the order of their places, as a stable sort of
+    # f's own cell-by-cell rows puts them.  So the slope merged at a knot,
+    # its running sum and phi are the same sums, in the same order, as a
     # sweep over the knots.  Where a ramp is narrower than its knot's ulp,
     # a - r + W rounds onto a - r (or b + r - W onto b + r) and the ramp has
     # no gap to rise over: its rise w W enters as a jump at the last of the
@@ -349,19 +354,22 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
     lo, hi = f.lo[:, 0], f.hi[:, 0]
 
     def knot_blocks():  # each block's knot order, runs and gaps, replayed for the next call at these radii
+        left, right = lo, hi
+        if along is not None:  # laid out in order along the line; place: f's place 4 i + kind of each slot
+            left, right, place = lo[along], hi[along], (4 * along[:, None] + np.arange(4)).ravel()
         for b0 in range(0, len(radii), per_block):
             r = np.array(radii[b0 : b0 + per_block])[:, None]
             knots = np.empty((4, len(r), len(cells)))
             start, top, fall, end = knots[0], knots[1], knots[2], knots[3]
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                width = np.minimum(hi - lo, r + r)
-                np.subtract(lo, r, out=start)
+                width = np.minimum(right - left, r + r)
+                np.subtract(left, r, out=start)
                 np.add(start, width, out=top)
-                np.add(hi, r, out=end)
+                np.add(right, r, out=end)
                 np.subtract(end, width, out=fall)
-                y = knots.transpose(1, 2, 0).reshape(len(r), -1)  # cell by cell
-                order = y.argsort(axis=1, kind="stable")
-                y = y[np.arange(len(r))[:, None], order]
+                y = knots.transpose(1, 2, 0).reshape(len(r), -1)  # cell by cell along the line
+                slot = y.argsort(axis=1, kind="stable")
+                y = y.take(slot + np.arange(0, y.size, y.shape[1])[:, None])
                 gaps = np.zeros(y.shape)  # from each knot to the next; 0 after a row's last
                 np.subtract(y[:, 1:], y[:, :-1], out=gaps[:, :-1])
             if not np.isfinite(gaps).all():
@@ -369,6 +377,12 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             head = np.ones(y.shape, dtype=bool)  # the first of each run of equal knots
             np.not_equal(gaps[:, :-1], 0.0, out=head[:, 1:])
             runs = head.cumsum()  # each knot's run, from 1
+            order = slot
+            if along is not None:  # to f's places, each run of equal knots in their order
+                order = place[slot]
+                if not head.all():
+                    tie = (runs * place.size + order.ravel()).argsort(kind="stable")
+                    slot, order = (x.ravel()[tie].reshape(y.shape) for x in (slot, order))
             collapsed = knots[1:3] == knots[::3]  # top == start, fall == end
             jumps = None
             if np.count_nonzero(collapsed):  # the knot of each one's jump, its cell and signed W
@@ -376,7 +390,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
                 rises = np.zeros(start.shape + (4,))
                 rises[..., 1] = np.where(up, width, 0.0)
                 rises[..., 2] = np.where(down, -width, 0.0)
-                rises = np.take_along_axis(rises.reshape(len(r), -1), order, axis=1).ravel()
+                rises = np.take_along_axis(rises.reshape(len(r), -1), slot, axis=1).ravel()
                 at = np.flatnonzero(rises)
                 jumps = runs.searchsorted(runs[at], side="right") - 1, order.ravel()[at] // 4, rises[at]
             yield order, head, runs, gaps, jumps
@@ -399,7 +413,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
         values = rise.cumsum(axis=1)
         np.maximum(values, 0.0, out=values)
         if math.isinf(p):
-            norms += [_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()]
+            norms += _in_range([_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()])
             continue
         # a row's last gap is 0, so no segment joins two rows
         try:
@@ -440,7 +454,14 @@ def _sup_norms(order, lo, hi, r, peaks, p: float, e: int, scale: float) -> list[
     terms = [x * d * scale for x, d in zip(powers, dy.tolist())]
     widths = (dy * scale).tolist()
     rows = at.searchsorted(np.arange(len(y)) * (y.shape[1] - 1)).tolist() + [len(at)]  # each row's first
-    return [_root(sum(terms[a:b]), p, e, values[a:b], widths[a:b], powers[a:b]) for a, b in zip(rows, rows[1:])]
+    return _in_range([_root(sum(terms[a:b]), p, e, values[a:b], widths[a:b], powers[a:b]) for a, b in zip(rows, rows[1:])])
+
+
+def _in_range(norms: list[float]) -> list[float]:
+    """norms, refused where one is past the float range (inf)."""
+    if math.inf in norms:
+        raise ValueError(RANGE_ERROR)
+    return norms
 
 
 def _segment_integrals(phi: np.ndarray, gaps: np.ndarray, s: float, scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -163,6 +163,17 @@ class SimpleFunction:
         return self._corners(1)
 
     @cached_property
+    def axis0_order(self) -> np.ndarray | None:
+        """The cell indices in order of lo[:, 0], a stable argsort built once,
+        or None where the cells are in that order already; disjoint cells on
+        the line are then in order of hi too."""
+        order = self.lo[:, 0].argsort(kind="stable")
+        if not (order[1:] < order[:-1]).any():
+            return None
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def _memo(self) -> dict[str, tuple]:
         """Per kind, the (key, blocks) of the last stream made on f (``amalgam._replay``)."""
         return {}

@@ -266,6 +266,8 @@ FAR = line_fn((1e308, 1.1e308, 1.0))  # value 1 on [1e308, 1.1e308)
 SPREAD = line_fn((-1e308, -1e308 + 1e292, 1.0), (0.0, 1.0, 1.0), (1e308 - 1e292, 1e308, 1.0))
 WIDE_CELL = line_fn((-0.9e308, 0.89e308, 1.0))  # knots a - r, b + r 1.99e308 apart at r = 1e307
 SPECK = line_fn((0.0, 5e-324, 7.0), (1.0, 2.0, 1.0))  # a cell of measure below the float range
+VAST = line_fn((0.0, 1e300, 1e10))  # value 1e10 on [0, 1e300): every norm past the float range
+HEAVY = line_fn((0.0, 1e10, 1e300))  # value 1e300 on [0, 1e10)
 # values 0.15-0.21 on the plane; the ball B((2.5, -1), 8) holds every cell
 SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
 
@@ -313,6 +315,10 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         (lambda: ball_norm(SPREAD, REAL_LINE, 1.0, 1.0, 2.0), 1.412742124216136e146, False),
         # every gap between knots in range, but not the segment from a - r to b + r
         (lambda: ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, 1.0), 0.995e308, True),
+        # norms past the float range at q = inf or p = inf: refused, as at finite (q, p)
+        (lambda: ball_norm(VAST, REAL_LINE, 1.0, INF, 1.0), math.nan, True),
+        (lambda: ball_norm(HEAVY, REAL_LINE, 1e10, 1.0, INF), math.nan, True),
+        (lambda: ball_norm(HEAVY, REAL_LINE, 1e10, INF, 1.0), math.nan, True),
         # at q = inf a piece counts by overlap, though its measure is 0.0
         (lambda: partition_norm(SPECK, partition_for(SPECK, REAL_LINE, 0.5), INF, INF), 7.0, False),
         (lambda: partition_norm(SPECK, partition_for(SPECK, REAL_LINE, 1.0), INF, INF), 7.0, False),
@@ -345,6 +351,9 @@ SMALL_VALUES = gen_random_simple(3, 3, ((-2.0, 2.0), (-4.0, 4.0)), ANISO_PLANE)
         "spread-ball-q1-pinf",
         "spread-ball-q1-p2",
         "wide-cell-ball-r1e307-qinf-p1",
+        "vast-ball-qinf-p1",
+        "heavy-ball-r1e10-q1-pinf",
+        "heavy-ball-r1e10-qinf-p1",
         "speck-partition-r0.5-qinf-pinf",
         "speck-partition-r1-qinf-pinf",
         "speck-partition-r4-qinf-pinf",
