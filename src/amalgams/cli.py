@@ -337,10 +337,6 @@ def _load_suite_config(path: str | None) -> SuiteConfig:
             raise UsageError(f"unknown config key {key!r}")
         if key == "criteria" and value is not None:
             value = tuple(value)
-        if key == "embedding_triples":
-            value = tuple(
-                tuple(parse_exponent(str(v)) for v in triple) for triple in value
-            )
         cfg = replace(cfg, **{key: value})  # SuiteConfig refuses a bad value, key by key
     return cfg
 

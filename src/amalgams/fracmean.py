@@ -270,7 +270,8 @@ class DivergenceDiagnostic:
 
 
 def _min_cell_extent(f: SimpleFunction) -> float:
-    return min(min(b - a for a, b in zip(c.lo, c.hi)) for c in f.cells)
+    with np.errstate(over="ignore"):  # a width past the float range is inf
+        return float((f.hi - f.lo).min())
 
 
 def divergence_diagnostic(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -144,23 +144,20 @@ class Cell(NamedTuple):
 
 @dataclass(frozen=True)
 class SimpleFunction:
+    """Positive values on disjoint boxes, made only by :func:`simple_function`
+    (:func:`scale` and :func:`zero_function` too): it hands each function the
+    read-only (n, d) corner arrays lo and hi that its checks built, outside
+    equality, hashing and repr."""
+
     group: GroupDescriptor
     cells: tuple[Cell, ...]
+    lo: np.ndarray = field(compare=False, repr=False)
+    hi: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def max_value(self) -> float:
         """The largest cell value; 0 without cells."""
         return max((c.value for c in self.cells), default=0.0)
-
-    @cached_property
-    def lo(self) -> np.ndarray:
-        """The cells' lower corners as one read-only (n, d) array, built once."""
-        return self._corners(0)
-
-    @cached_property
-    def hi(self) -> np.ndarray:
-        """The cells' upper corners as one read-only (n, d) array, built once."""
-        return self._corners(1)
 
     @cached_property
     def axis0_order(self) -> np.ndarray | None:
@@ -178,18 +175,11 @@ class SimpleFunction:
         """Per kind, the (key, blocks) of the last stream made on f (``amalgam._replay``)."""
         return {}
 
-    def _corners(self, k: int) -> np.ndarray:
-        corners = np.array([c[k] for c in self.cells], dtype=float).reshape(len(self.cells), self.group.d)
-        corners.flags.writeable = False
-        return corners
-
     @cached_property
     def _support_box(self) -> Box | None:
         if not self.cells:
             return None
-        lo = [min(c.lo[i] for c in self.cells) for i in range(self.group.d)]
-        hi = [max(c.hi[i] for c in self.cells) for i in range(self.group.d)]
-        return tuple(zip(lo, hi))
+        return tuple(zip(self.lo.min(axis=0).tolist(), self.hi.max(axis=0).tolist()))
 
     def support_measure(self) -> float:
         return sum(c.measure for c in self.cells)
@@ -241,7 +231,7 @@ def simple_function(
     """Build a validated SimpleFunction from (lo, hi, value) triples, unpacked
     and float()-converted in one loop, then checked by :func:`_check_cells`
     and for overlaps.  A measure is measure_scale * ((w_0 * w_1) * ...) of the
-    widths hi - lo.  The cells of positive value are kept, as Cell tuples."""
+    widths hi - lo.  The cells of positive value are kept, with their corner rows."""
     los, his, values = [], [], []
     try:
         for lo, hi, value in cells:
@@ -254,7 +244,11 @@ def simple_function(
         measures = group.measure_scale * reduce(operator.mul, (hi - lo).T)
     built = list(map(Cell._make, zip(los, his, values, measures.tolist())))
     _check_disjoint(built, lo[:, 0], hi[:, 0])
-    return SimpleFunction(group, tuple(c for c in built if c.value > 0.0))
+    if 0.0 in values:  # the cells of value 0 are dropped
+        keep = np.array(values) > 0.0
+        lo, hi, built = lo[keep], hi[keep], compress(built, keep.tolist())
+    lo.flags.writeable = hi.flags.writeable = False
+    return SimpleFunction(group, tuple(built), lo, hi)
 
 
 def _check_cells(group: GroupDescriptor, los, his, values) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +306,7 @@ def _check_disjoint(cells: Sequence[Cell], lo0: np.ndarray, hi0: np.ndarray) -> 
 
 
 def zero_function(group: GroupDescriptor) -> SimpleFunction:
-    return SimpleFunction(group, ())
+    return simple_function(group, ())
 
 
 def indicator(group: GroupDescriptor, lo, hi, value: float = 1.0) -> SimpleFunction:
@@ -455,10 +449,9 @@ def _lorentz_steps(prof: StepProfile, q: float, p: float) -> tuple[list[float], 
 
 
 def scale(f: SimpleFunction, factor: float) -> SimpleFunction:
-    """|factor| * f (values are moduli, so the sign is dropped)."""
+    """|factor| * f (values are moduli, so the sign is dropped); a non-finite value is refused."""
     a = abs(float(factor))
-    cells = (Cell(c.lo, c.hi, a * c.value, c.measure) for c in f.cells)
-    return SimpleFunction(f.group, tuple(c for c in cells if c.value > 0.0))
+    return simple_function(f.group, ((c.lo, c.hi, a * c.value) for c in f.cells))
 
 
 def _axis0_neighbours(a: SimpleFunction, b: SimpleFunction) -> list[list[Cell]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -350,21 +350,30 @@ class SuiteConfig:
     def __post_init__(self):
         """Refuse a config that cannot run: the sample counts and max_levels
         are integers of at least 1, the seed one of at least 0 (bools are
-        refused), and the window one finite axis, kept as floats."""
+        refused), the criteria are in ALL_CRITERIA, and the embedding triples
+        and the window are exponents and one finite axis, kept as floats."""
         for name in self.__dataclass_fields__:
             if name in ("seed", "max_levels") or name.startswith("n_"):
                 value, least = getattr(self, name), 0 if name == "seed" else 1
                 if not isinstance(value, int) or isinstance(value, bool) or value < least:
                     raise ValueError(f"config key {name!r} needs an integer of at least {least}, got {value!r}")
+        for name in self.criteria or ():
+            if name not in ALL_CRITERIA:
+                raise ValueError(f"config key 'criteria' names an unknown criterion {name!r}")
+        object.__setattr__(self, "embedding_triples", _suite_triples(self.embedding_triples))
         object.__setattr__(self, "window", _suite_window(self.window))
 
     def selected(self) -> tuple[str, ...]:
-        if self.criteria is None:
-            return ALL_CRITERIA
-        for name in self.criteria:
-            if name not in ALL_CRITERIA:
-                raise ValueError(f"unknown criterion {name!r}")
-        return self.criteria
+        return ALL_CRITERIA if self.criteria is None else self.criteria
+
+
+def _suite_triples(value) -> tuple[tuple[float, float, float], ...]:
+    """The embedding triples, each a list of three exponents (q, p, alpha) in
+    [1, inf]: numbers, or strings such as "inf"."""
+    try:  # a string is not a list of exponents
+        return tuple(astuple(ExponentTriple(*(() if isinstance(t, str) else t))) for t in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key 'embedding_triples' needs exponent triples in [1, inf], got {value!r}") from None
 
 
 def _suite_window(value) -> tuple[tuple[float, float]]:

@@ -387,3 +387,31 @@ def test_out_of_range_scale_is_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("triples", [[[1, 2]], [[1, 2, 3, 4]], [1, 2, 3], [[1, 0.5, 2]]], ids=json.dumps)
+def test_verify_malformed_embedding_triple_is_a_usage_error(capsys, tmp_path, triples):
+    # refused when the config is made: exit 2, one error line naming the key, no report
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"criteria": ["lebesgue-embedding"], "embedding_triples": triples}))
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.count("\n") == 1 and err.startswith("error:") and "'embedding_triples'" in err
+
+
+def test_verify_embedding_triple_of_strings_runs(capsys, tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    raw = {"criteria": ["lebesgue-embedding"], "n_embedding": 3, "embedding_triples": [["1", "inf", "2"]]}
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cases = json.loads(out.read_text())["cases"]
+    assert [(c["id"], c["status"]) for c in cases] == [("lebesgue-embedding-q=1.0-p=inf-alpha=2.0", "pass")]
+
+
+def test_suite_config_refuses_a_malformed_triple_or_criterion():
+    with pytest.raises(ValueError, match="'embedding_triples'"):
+        SuiteConfig(embedding_triples=((1.0, 2.0),))
+    with pytest.raises(ValueError, match="'criteria'.*'nope'"):
+        SuiteConfig(criteria=("nope",))
