@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -36,32 +35,28 @@ from .verify import SuiteConfig, run_suite_timed, suite_passed
 OUT_DIR_ENV = "AMALGAMS_OUT_DIR"
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_exponent(token: str) -> float:
     if token.strip().lower() in ("inf", "infinity", "+inf"):
         return math.inf
     try:
         value = float(token)
     except ValueError:
-        raise UsageError(f"cannot parse exponent {token!r}") from None
+        raise ValueError(f"cannot parse exponent {token!r}") from None
     if not value >= 1.0:
-        raise UsageError(f"exponents must lie in [1, inf], got {token}")
+        raise ValueError(f"exponents must lie in [1, inf], got {token}")
     return value
 
 
 def parse_window(token: str, d: int) -> tuple[tuple[float, float], ...]:
     axes = token.split(",")
     if len(axes) != d:
-        raise UsageError(f"window needs {d} axis ranges, got {len(axes)}")
+        raise ValueError(f"window needs {d} axis ranges, got {len(axes)}")
     out = []
     for ax in axes:
         try:
             lo, hi = (float(v) for v in ax.split(":"))
         except ValueError:
-            raise UsageError(f"bad window axis {ax!r}; expected lo:hi") from None
+            raise ValueError(f"bad window axis {ax!r}; expected lo:hi") from None
         out.append((lo, hi))
     return tuple(out)
 
@@ -71,25 +66,29 @@ def parse_grid(token: str) -> RadiusGrid:
         rmin, rmax, steps = token.split(":")
         rmin, rmax, steps = float(rmin), float(rmax), int(steps)
     except (ValueError, TypeError):
-        raise UsageError(f"bad grid {token!r}; expected rmin:rmax:steps") from None
+        raise ValueError(f"bad grid {token!r}; expected rmin:rmax:steps") from None
     try:
         return RadiusGrid(rmin, rmax, steps)
     except ValueError as exc:
-        raise UsageError(f"bad grid {token!r}: {exc}") from None
+        raise ValueError(f"bad grid {token!r}: {exc}") from None
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from None
 
 
 def load_function_spec(path: str) -> SimpleFunction:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read function spec {path}: {exc}") from None
+    raw = _read_json(path, "function spec")
     try:
         group = get_group(raw["group"])
         cells = [(c["lo"], c["hi"], c["value"]) for c in raw["cells"]]
         return simple_function(group, cells)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed function spec {path}: {exc}") from None
+        raise ValueError(f"malformed function spec {path}: {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -147,7 +146,7 @@ def emit_report(cases, fmt: str, path: str | None, criterion_seconds: dict | Non
             )
         text = buf.getvalue()
     else:
-        raise UsageError(f"unknown report format {fmt!r}")
+        raise ValueError(f"unknown report format {fmt!r}")
     if path:
         path = _resolve_out(path)
         with open(path, "w", encoding="utf-8") as fh:
@@ -323,22 +322,17 @@ def _cmd_counterexample(args) -> int:
 
 
 def _load_suite_config(path: str | None) -> SuiteConfig:
+    """The suite config of a JSON object whose keys are SuiteConfig fields;
+    SuiteConfig checks the values."""
     if path is None:
         return SuiteConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    cfg = SuiteConfig()
-    known = set(cfg.__dataclass_fields__)
-    for key, value in raw.items():
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r}")
-        if key == "criteria" and value is not None:
-            value = tuple(value)
-        cfg = replace(cfg, **{key: value})  # SuiteConfig refuses a bad value, key by key
-    return cfg
+    raw = _read_json(path, "config")
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    for key in raw:
+        if key not in SuiteConfig.__dataclass_fields__:
+            raise ValueError(f"unknown config key {key!r}")
+    return SuiteConfig(**raw)
 
 
 def _cmd_verify(args) -> int:
@@ -370,7 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         message = str(exc)
     except Exception as exc:  # anything else is still one line, not a traceback
         message = f"{type(exc).__name__}: {exc}"

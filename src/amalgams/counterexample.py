@@ -189,6 +189,8 @@ def fractional_bound_constant(
 def union_growth(q: float, p: float, alpha: float, max_levels: int) -> list[dict]:
     """Per depth N = 1..max_levels: lambda(E_N), the weak Lorentz norm and
     the weighted ball norm over radii 2^-10 .. 4 x support scale."""
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     t = ExponentTriple(q, p, alpha)
     out = []
     for n in range(1, max_levels + 1):

@@ -138,13 +138,11 @@ def support_scale(f: SimpleFunction) -> float:
     return 2.0 * max(g.hom_norm(c) for c in corners)
 
 
-def default_grid(
-    f: SimpleFunction, octaves: int = 8, steps_per_octave: int = 4
-) -> RadiusGrid:
-    """Dyadic grid of ``octaves`` octaves centered on the support diameter."""
+def default_grid(f: SimpleFunction) -> RadiusGrid:
+    """Dyadic grid of 8 octaves, 4 steps per octave (33 radii), centered on
+    the support diameter d: radii d/16 .. 16 d."""
     d = max(support_scale(f), 1e-6)
-    half = octaves / 2.0
-    return RadiusGrid(d * 2.0**-half, d * 2.0**half, steps_per_octave)
+    return RadiusGrid(d * 2.0**-4, d * 2.0**4, 4)
 
 
 def _window(f: SimpleFunction, g: GroupDescriptor, steps: tuple[float, ...]) -> Box:

@@ -481,22 +481,17 @@ def pointwise_combine(
         raise ValueError(f"op={op!r} requires a second function")
     if f.group is not g.group and f.group.name != g.group.name:
         raise ValueError("functions live on different groups")
-    group = f.group
+    combine = {"product": operator.mul, "sum": operator.add}.get(op)
+    if combine is None:
+        raise ValueError(f"unknown op {op!r}")
+    f_near = _axis0_neighbours(f, g)
     out: list[tuple[tuple, tuple, float]] = []
-    if op == "product":
-        for cf, near in zip(f.cells, _axis0_neighbours(f, g)):
-            for cg in near:
-                inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
-                if inter is not None:
-                    out.append((inter[0], inter[1], cf.value * cg.value))
-        return simple_function(group, out)
-    if op == "sum":
-        f_near = _axis0_neighbours(f, g)
-        for cf, near in zip(f.cells, f_near):
-            for cg in near:
-                inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
-                if inter is not None:
-                    out.append((inter[0], inter[1], cf.value + cg.value))
+    for cf, near in zip(f.cells, f_near):
+        for cg in near:
+            inter = box_intersection(cf.lo, cf.hi, cg.lo, cg.hi)
+            if inter is not None:
+                out.append((inter[0], inter[1], combine(cf.value, cg.value)))
+    if op == "sum":  # and the parts of each cell that the other function misses
         for a, a_near in ((f, f_near), (g, _axis0_neighbours(g, f))):
             for ca, near in zip(a.cells, a_near):
                 pieces = [(ca.lo, ca.hi)]
@@ -507,5 +502,4 @@ def pointwise_combine(
                         for sub in box_subtract(lo, hi, cb.lo, cb.hi)
                     ]
                 out.extend((lo, hi, ca.value) for lo, hi in pieces)
-        return simple_function(group, out)
-    raise ValueError(f"unknown op {op!r}")
+    return simple_function(f.group, out)

@@ -219,17 +219,17 @@ def radial_power_fn(
     return RadialDiscretization(fn, tuple(edges), tuple(errors))
 
 
-def pin_radial_constant(
-    g: GroupDescriptor, s: float, a: float, b: float, shells: int = 4000
-) -> float:
+def pin_radial_constant(g: GroupDescriptor, s: float, a: float, b: float) -> float:
     """Numeric polar-integration oracle for the radial-tail constant.
 
     Solves integral_{a<|y|<b} |y|^(-s) dlambda = (C0/d)(a^(-d) - b^(-d))
-    with d = s - rho for C0, using exact shell measures r2^rho - r1^rho.
+    with d = s - rho for C0, using exact shell measures r2^rho - r1^rho
+    over 4000 geometric shells.
     The normalization lambda(B(e, r)) = r^rho forces C0 = rho.
     """
     if not (0 < a < b) or s <= g.rho:
         raise ValueError("need 0 < a < b and s > rho")
+    shells = 4000
     kappa = (b / a) ** (1.0 / shells)
     total = 0.0
     r1 = a
@@ -257,14 +257,10 @@ def tail_norm_constant(theta: float, p: float, a: float, g: GroupDescriptor = RE
     return (c0 * a**-d / d) ** (1.0 / pp)
 
 
-def tail_constant_check(
-    theta: float,
-    p: float,
-    a: float,
-    g: GroupDescriptor = REAL_LINE,
-    mesh: float = 0.005,
-) -> InequalityCase:
-    """Numeric tail norm of the radial power profile against the closed form."""
+def tail_constant_check(theta: float, p: float, a: float) -> InequalityCase:
+    """Numeric tail norm of the radial power profile on the real line, at
+    shell mesh 0.005, against the closed form."""
+    g, mesh = REAL_LINE, 0.005
     closed = tail_norm_constant(theta, p, a, g)
     ctx = {"theta": theta, "p": p, "a": a, "group": g.name}
     if p == 1.0:
@@ -283,18 +279,11 @@ def tail_constant_check(
     return identity_case("tail-norm-constant", [(corrected, closed)], 0.005, ctx)
 
 
-def damped_tail_check(
-    theta: float,
-    p: float,
-    q: float,
-    eps: float,
-    r: float,
-    g: GroupDescriptor = REAL_LINE,
-    mesh: float = 0.02,
-    allowance: float = 0.02,
-) -> InequalityCase:
-    """Ball norm of the damped radial tail against the tail-norm
-    constant at eps/(2 gamma) times the ball-measure weight."""
+def damped_tail_check(theta: float, p: float, q: float, eps: float, r: float) -> InequalityCase:
+    """Ball norm of the damped radial tail on the real line, at shell mesh
+    0.02, against the tail-norm constant at eps/(2 gamma) times the
+    ball-measure weight, with a 2% allowance."""
+    g, mesh, allowance = REAL_LINE, 0.02, 0.02
     if not (1.0 <= p < theta) or math.isinf(theta):
         raise ValueError("need 1 <= p < theta < inf")
     if not (0.0 < eps < 2.0 * g.gamma):
@@ -348,23 +337,33 @@ class SuiteConfig:
     window: tuple[tuple[float, float], ...] = ((-4.0, 4.0),)
 
     def __post_init__(self):
-        """Refuse a config that cannot run: the sample counts and max_levels
-        are integers of at least 1, the seed one of at least 0 (bools are
-        refused), the criteria are in ALL_CRITERIA, and the embedding triples
-        and the window are exponents and one finite axis, kept as floats."""
+        """Refuse a config that cannot run, naming the first bad key in field
+        order: the sample counts and max_levels are integers of at least 1,
+        the seed one of at least 0 (bools are refused), the criteria None or
+        a list of names in ALL_CRITERIA, kept as a tuple, and the embedding
+        triples and the window exponents and one finite axis, kept as floats."""
         for name in self.__dataclass_fields__:
-            if name in ("seed", "max_levels") or name.startswith("n_"):
-                value, least = getattr(self, name), 0 if name == "seed" else 1
-                if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                    raise ValueError(f"config key {name!r} needs an integer of at least {least}, got {value!r}")
-        for name in self.criteria or ():
-            if name not in ALL_CRITERIA:
-                raise ValueError(f"config key 'criteria' names an unknown criterion {name!r}")
-        object.__setattr__(self, "embedding_triples", _suite_triples(self.embedding_triples))
-        object.__setattr__(self, "window", _suite_window(self.window))
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if name in _SUITE_PARSERS:
+                object.__setattr__(self, name, _SUITE_PARSERS[name](value))
+            elif not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"config key {name!r} needs an integer of at least {least}, got {value!r}")
 
     def selected(self) -> tuple[str, ...]:
         return ALL_CRITERIA if self.criteria is None else self.criteria
+
+
+def _suite_criteria(value) -> tuple[str, ...] | None:
+    """None (every criterion), or a list of names in ALL_CRITERIA; a string
+    is not a list of names."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key 'criteria' needs a list of criterion names, got {value!r}")
+    for name in value:
+        if name not in ALL_CRITERIA:
+            raise ValueError(f"config key 'criteria' names an unknown criterion {name!r}")
+    return tuple(value)
 
 
 def _suite_triples(value) -> tuple[tuple[float, float, float], ...]:
@@ -386,6 +385,9 @@ def _suite_window(value) -> tuple[tuple[float, float]]:
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"config key 'window' needs finite lo < hi, got {value!r}")
     return ((lo, hi),)
+
+
+_SUITE_PARSERS = {"criteria": _suite_criteria, "embedding_triples": _suite_triples, "window": _suite_window}
 
 
 def _wide_grid(f: SimpleFunction) -> RadiusGrid:

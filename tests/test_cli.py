@@ -415,3 +415,59 @@ def test_suite_config_refuses_a_malformed_triple_or_criterion():
         SuiteConfig(embedding_triples=((1.0, 2.0),))
     with pytest.raises(ValueError, match="'criteria'.*'nope'"):
         SuiteConfig(criteria=("nope",))
+
+
+@pytest.mark.parametrize(
+    "raw, names",
+    [
+        ({"criteria": 3}, "'criteria'"),
+        ({"criteria": "diagonal-identity"}, "'criteria'"),
+        ({"criteria": {"a": 1}}, "'criteria'"),
+        ([1, 2], "must be a JSON object"),
+        (3, "must be a JSON object"),
+        ("x", "must be a JSON object"),
+        (None, "must be a JSON object"),
+    ],
+    ids=["criteria-number", "criteria-string", "criteria-object", "list", "number", "string", "null"],
+)
+def test_verify_config_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, raw, names):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.count("\n") == 1 and err.startswith("error:") and names in err
+
+
+def test_suite_config_keeps_criteria_as_a_tuple_and_refuses_a_string():
+    assert SuiteConfig(criteria=["diagonal-identity"]).criteria == ("diagonal-identity",)
+    assert SuiteConfig().criteria is None
+    with pytest.raises(ValueError, match="'criteria'"):
+        SuiteConfig(criteria="diagonal-identity")
+
+
+def test_verify_config_names_the_first_bad_key_in_field_order(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": 4, "n_identity": 0, "criteria": "x"}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "'criteria'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "window",
+    ["nan:1", "-1:nan", "nan:1,-1:1", "-1:1,-1:nan", "nan:1,0:1,0:1", "0:1,0:1,0:nan"],
+)
+def test_partition_info_refuses_a_nan_window(capsys, window):
+    group = {1: "real-line", 2: "aniso-plane", 3: "heisenberg"}[window.count(",") + 1]
+    code = main(["partition-info", "--group", group, "--r", "1", f"--window={window}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: window")
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_counterexample_needs_a_level(capsys, levels):
+    code = main(["counterexample", "--q", "1", "--alpha", "2", "--p", "4", "--levels", levels])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "max_levels" in err

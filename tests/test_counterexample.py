@@ -9,6 +9,7 @@ from amalgams.counterexample import (
     fractional_bound_constant,
     level_count,
     separation_bound,
+    union_growth,
     union_measure,
     weak_lorentz_of_union,
 )
@@ -178,3 +179,9 @@ def test_check_separations_work_is_linear(monkeypatch, alpha):
     centers = sum(len(level) for level in spec.centers)
     assert centers == 1028
     assert len(calls) <= 4 * centers
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_union_growth_needs_a_level(levels):
+    with pytest.raises(ValueError, match="max_levels"):
+        union_growth(1.0, 4.0, 2.0, levels)

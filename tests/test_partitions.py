@@ -6,6 +6,8 @@ import pytest
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.partitions import (
     build_pi_r,
+    cell_shape,
+    check_scales,
     count_translate_hits,
     n_pi_bound,
     validate,
@@ -162,3 +164,28 @@ def test_build_pi_r_rejects_out_of_range_scale(g):
     with pytest.raises(ValueError, match="out of range"):
         build_pi_r(g, 4.0, wide)
     build_pi_r(g, 4.0, tuple((-(2.0**50), 2.0**50) for _ in range(g.d)))
+
+
+def _nan_windows(g):
+    """The unit box of g with a NaN for lo or for hi on one axis, each way."""
+    for axis in range(g.d):
+        for side in (0, 1):
+            box = [[-1.0, 1.0] for _ in range(g.d)]
+            box[axis][side] = math.nan
+            yield tuple(map(tuple, box))
+
+
+@pytest.mark.parametrize("g", [REAL_LINE, ANISO_PLANE, HEISENBERG], ids=lambda g: g.name)
+def test_a_nan_window_bound_is_refused(g):
+    unit = tuple((-1.0, 1.0) for _ in range(g.d))
+    radii = [0.5, 1.0, 2.0]
+    steps = [cell_shape(g, r)[1] for r in radii]
+    for window in _nan_windows(g):
+        with pytest.raises(ValueError, match="window"):
+            build_pi_r(g, 1.0, window)
+        # the one-pass test over several radii, with the NaN at each radius
+        for i in range(len(radii)):
+            windows = [window if k == i else unit for k in range(len(radii))]
+            with pytest.raises(ValueError, match="window"):
+                check_scales(g, radii, steps, windows)
+    check_scales(g, radii, steps, [unit] * len(radii))

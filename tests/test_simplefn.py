@@ -540,3 +540,15 @@ def test_scale_by_zero_is_zero_and_support_box_is_computed_once():
     assert simplefn.scale(f, 0.0).is_zero()
     assert simplefn.scale(f, 0.0).bounding_box() is None
     assert f.bounding_box() is f.bounding_box()
+
+
+def test_combine_refuses_in_a_fixed_order():
+    chi, plane = line_fn((0.0, 1.0, 1.0)), zero_function(ANISO_PLANE)
+    with pytest.raises(ValueError, match="requires factor"):
+        pointwise_combine(chi, plane, op="scale")
+    with pytest.raises(ValueError, match="requires a second function"):
+        pointwise_combine(chi, op="nope")
+    with pytest.raises(ValueError, match="different groups"):
+        pointwise_combine(chi, plane, op="nope")
+    with pytest.raises(ValueError, match="unknown op 'nope'"):
+        pointwise_combine(chi, chi, op="nope")
