@@ -206,12 +206,6 @@ def _cells_norms(local: list[float], firsts: list[int], p: float, e: int) -> lis
     return [_times_pow2(x, e) for x in norms] if e else norms
 
 
-def _cells_norm(acc: list[float], q: float, p: float, e: int) -> float:
-    """The norm of one run of :func:`_cells_norms` from each cell's sum of
-    v^q lambda (its max v at q = inf)."""
-    return _cells_norms(acc if math.isinf(q) else [a ** (1.0 / q) for a in acc], [0], p, e)[0]
-
-
 # -- sliding-ball integral --------------------------------------------------
 
 

@@ -766,24 +766,3 @@ def get_group(name: str) -> GroupDescriptor:
         raise ValueError(
             f"unknown group {name!r}; choose from {sorted(GROUPS)}"
         ) from None
-
-
-def sample_points(g: GroupDescriptor, n: int, extent: float, seed: int) -> np.ndarray:
-    """Deterministic batch of points in [-extent, extent]^d, shape (n, d)."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-extent, extent, size=(n, g.d))
-
-
-def estimate_gamma(g: GroupDescriptor, n_pairs: int = 10_000) -> float:
-    """Sampled sup of |xy| / (|x| + |y|) over n_pairs seeded pairs; a lower
-    estimate of gamma."""
-    xs = sample_points(g, n_pairs, 5.0, 7)
-    ys = sample_points(g, n_pairs, 5.0, 8)
-    worst = 0.0
-    for x, y in zip(xs, ys):
-        xt, yt = tuple(x), tuple(y)
-        denom = g.hom_norm(xt) + g.hom_norm(yt)
-        if denom > 0:
-            worst = max(worst, g.hom_norm(g.compose(xt, yt)) / denom)
-    return worst
-

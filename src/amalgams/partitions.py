@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,13 +43,10 @@ class UniformPartition:
     # per-axis cell half-extents and lattice steps (cell-local coordinates)
     half_extents: tuple[float, ...]
     steps: tuple[float, ...]
-    base_overrides: Mapping[Index, Point] = field(default_factory=dict)
 
     # -- geometry ---------------------------------------------------------
 
     def base_point(self, idx: Index) -> Point:
-        if idx in self.base_overrides:
-            return self.base_overrides[idx]
         return self._lattice_point(idx)
 
     def _lattice_point(self, idx: Index) -> Point:
@@ -177,12 +174,6 @@ def build_pi_r(g: GroupDescriptor, r: float, window: Box) -> UniformPartition:
         half_extents=half,
         steps=steps,
     )
-
-
-def with_base_override(
-    p: UniformPartition, overrides: Mapping[Index, Point]
-) -> UniformPartition:
-    return replace(p, base_overrides=dict(overrides))
 
 
 @dataclass(frozen=True)

@@ -263,10 +263,11 @@ def tail_constant_check(theta: float, p: float, a: float) -> InequalityCase:
     g, mesh = REAL_LINE, 0.005
     closed = tail_norm_constant(theta, p, a, g)
     ctx = {"theta": theta, "p": p, "a": a, "group": g.name}
+    case_id = f"tail-norm-constant-theta={theta}-p={p}-a={a}"
     if p == 1.0:
         disc = radial_power_fn(g, "power", theta, (a, 4.0 * a), mesh, sample="inner-edge")
         numeric = lebesgue_norm(disc.function, INF)
-        return identity_case("tail-norm-constant", [(numeric, closed)], 0.005, ctx)
+        return identity_case(case_id, [(numeric, closed)], 0.005, ctx)
     pp = conjugate(p)
     s = g.rho / conjugate(theta)
     d = g.rho * (pp / conjugate(theta) - 1.0)
@@ -276,7 +277,7 @@ def tail_constant_check(theta: float, p: float, a: float) -> InequalityCase:
     disc = radial_power_fn(g, "power", theta, (a, outer), mesh, sample="geometric-midpoint")
     truncated = lebesgue_norm(disc.function, pp)
     corrected = (truncated**pp + c0 * outer**-d / d) ** (1.0 / pp)
-    return identity_case("tail-norm-constant", [(corrected, closed)], 0.005, ctx)
+    return identity_case(case_id, [(corrected, closed)], 0.005, ctx)
 
 
 def damped_tail_check(theta: float, p: float, q: float, eps: float, r: float) -> InequalityCase:
@@ -305,9 +306,8 @@ def damped_tail_check(theta: float, p: float, q: float, eps: float, r: float) ->
         "outer_truncation": outer,
         "tail_constant": k,
     }
-    return one_sided_case(
-        "damped-tail-bound", [(lhs, rhs)], 1.0 + allowance, 0.0, ctx
-    )
+    case_id = f"damped-tail-bound-theta={theta}-p={p}-q={q}-eps={eps}-r={r}"
+    return one_sided_case(case_id, [(lhs, rhs)], 1.0 + allowance, 0.0, ctx)
 
 
 # -- suite configuration ------------------------------------------------------
@@ -395,28 +395,34 @@ def _wide_grid(f: SimpleFunction) -> RadiusGrid:
     return RadiusGrid(_min_cell_extent(f) / 8.0, 32.0 * sc, 4)
 
 
-def _functions(
-    cfg: SuiteConfig, salt: int, n: int, max_cells: int, g: GroupDescriptor = REAL_LINE, window=None
-):
-    """A criterion's n seeded functions: function i has seed cfg.seed + salt * i
-    and 1 + i % max_cells cells in the window (the config's by default)."""
+# The window of each group's random functions; the line's is the config's.
+WINDOWS = {HEISENBERG: ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))}
+
+
+def _window(cfg: SuiteConfig, g: GroupDescriptor):
+    return cfg.window if g == REAL_LINE else WINDOWS[g]
+
+
+def _functions(cfg: SuiteConfig, g: GroupDescriptor, salt: int, n: int, max_cells: int):
+    """A criterion's n seeded functions on g: function i has seed
+    cfg.seed + salt * i and 1 + i % max_cells cells in g's window."""
     for i in range(n):
-        yield gen_random_simple(cfg.seed + salt * i, 1 + i % max_cells, window or cfg.window, g)
+        yield gen_random_simple(cfg.seed + salt * i, 1 + i % max_cells, _window(cfg, g), g)
 
 
 # -- criteria -----------------------------------------------------------------
 #
+# Each check runs its criterion on one group g; GROUPS_OF says which.
 # Each criterion builds each of its functions once, with its grid or
 # partition, and evaluates every exponent on it, so that the amalgam memo
 # replays the exponent-free pieces; a function's radii go in one call per
 # exponent pair, and each case takes its own column of samples.
 
 
-def check_diagonal_identity(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_diagonal_identity(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     ps = (1.0, 1.5, 2.0, 3.0, INF)
     cols = [[] for _ in ps]
-    for i, f in enumerate(_functions(cfg, 1, cfg.n_identity, 16)):
+    for i, f in enumerate(_functions(cfg, g, 1, cfg.n_identity, 16)):
         part = partition_for(f, g, 2.0 ** (i % 5 - 2))
         for col, p in zip(cols, ps):
             col.append((partition_norm(f, part, p, p), lebesgue_norm(f, p)))
@@ -426,11 +432,10 @@ def check_diagonal_identity(cfg: SuiteConfig) -> list[InequalityCase]:
     ]
 
 
-def check_fubini_identity(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_fubini_identity(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     qs = (1.0, 2.0, 3.0)
     cols = [[] for _ in qs]
-    for i, f in enumerate(_functions(cfg, 13, cfg.n_identity, 12)):
+    for i, f in enumerate(_functions(cfg, g, 13, cfg.n_identity, 12)):
         r = 2.0 ** (i % 5 - 2)
         for col, q in zip(cols, qs):
             col.append((ball_norm(f, g, r, q, q), g.ball_measure(r) ** (1.0 / q) * lebesgue_norm(f, q)))
@@ -440,17 +445,19 @@ def check_fubini_identity(cfg: SuiteConfig) -> list[InequalityCase]:
     ]
 
 
-def _equivalence_instance(
-    cfg: SuiteConfig,
-    g: GroupDescriptor,
-    pairs: Sequence[tuple[float, float]],
-    radii: Sequence[float],
-    window,
-    max_cells: int,
-) -> list[InequalityCase]:
+# The (q, p) pairs, radii and most cells per function of each group's
+# partition-ball equivalence; its groups are the keys.
+EQUIVALENCE = {
+    REAL_LINE: (((1.0, 2.0), (2.0, 4.0)), tuple(2.0**k for k in range(-2, 3)), 12),
+    HEISENBERG: (((2.0, 4.0),), tuple(0.75 * 2.0**k for k in range(5)), 3),
+}
+
+
+def check_partition_ball_equivalence(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
+    pairs, radii, max_cells = EQUIVALENCE[g]
     base_q, base_p = partition_constants(g)
     ratios = [[] for _ in pairs]
-    for f in _functions(cfg, 31, cfg.n_equivalence, max_cells, g, window):
+    for f in _functions(cfg, g, 31, cfg.n_equivalence, max_cells):
         for col, (q, p) in zip(ratios, pairs):
             balls = ball_norms(f, g, radii, q, p)
             parts = _partition_norms(f, g, radii, q, p)
@@ -475,20 +482,10 @@ def _equivalence_instance(
     return cases
 
 
-def check_partition_ball_equivalence(cfg: SuiteConfig) -> list[InequalityCase]:
-    line_radii = [2.0**k for k in range(-2, 3)]
-    heis_window = ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))
-    heis_radii = [0.75 * 2.0**k for k in range(5)]
-    return _equivalence_instance(
-        cfg, REAL_LINE, ((1.0, 2.0), (2.0, 4.0)), line_radii, cfg.window, 12
-    ) + _equivalence_instance(cfg, HEISENBERG, ((2.0, 4.0),), heis_radii, heis_window, 3)
-
-
-def check_lebesgue_embedding(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_lebesgue_embedding(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     triples = {raw: ExponentTriple(*raw) for raw in cfg.embedding_triples}
     cols = {raw: [] for raw, t in triples.items() if t.classify() == NONTRIVIAL}
-    for f in _functions(cfg, 7, cfg.n_embedding if cols else 0, 12):
+    for f in _functions(cfg, g, 7, cfg.n_embedding if cols else 0, 12):
         grid = default_grid(f)
         for raw, col in cols.items():
             col.append((fractional_norm_partition(f, g, triples[raw], grid).value, lebesgue_norm(f, raw[2])))
@@ -512,16 +509,15 @@ HOLDER_SPLITTINGS = (
 )
 
 
-def check_holder_product(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_holder_product(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     cases = []
     per = max(1, cfg.n_holder // len(HOLDER_SPLITTINGS))
     for si, (t1, t2, t) in enumerate(HOLDER_SPLITTINGS):
         t1, t2, t = ExponentTriple(*t1), ExponentTriple(*t2), ExponentTriple(*t)
         samples = []
         for i in range(per):
-            f = gen_random_simple(cfg.seed + 3 * i + si, 1 + i % 10, cfg.window, g)
-            h = gen_random_simple(cfg.seed + 1000 + 5 * i + si, 1 + (i + 3) % 10, cfg.window, g)
+            f = gen_random_simple(cfg.seed + 3 * i + si, 1 + i % 10, _window(cfg, g), g)
+            h = gen_random_simple(cfg.seed + 1000 + 5 * i + si, 1 + (i + 3) % 10, _window(cfg, g), g)
             prod = pointwise_combine(f, h, op="product")
             grid = default_grid(f if support_scale(f) >= support_scale(h) else h)
             lhs = fractional_norm_partition(prod, g, t, grid).value
@@ -542,13 +538,12 @@ def check_holder_product(cfg: SuiteConfig) -> list[InequalityCase]:
     return cases
 
 
-def check_alpha_endpoint_sandwiches(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_alpha_endpoint_sandwiches(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     pairs = ((1.0, 2.0), (2.0, 4.0))
     base_q, base_p = partition_constants(g)
     # per pair the columns of alpha = q (upper, lower), then of alpha = p
     cols = [[[] for _ in range(4)] for _ in pairs]
-    for f in _functions(cfg, 17, cfg.n_sandwich, 10):
+    for f in _functions(cfg, g, 17, cfg.n_sandwich, 10):
         grid = _wide_grid(f)
         for (q, p), (low_q, up_q, low_p, up_p) in zip(pairs, cols):
             nq = lebesgue_norm(f, q)
@@ -572,12 +567,11 @@ def check_alpha_endpoint_sandwiches(cfg: SuiteConfig) -> list[InequalityCase]:
     return cases
 
 
-def check_exponent_monotonicity(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_exponent_monotonicity(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     q1, p1, alpha, q2, p2 = 1.0, 4.0, 2.0, 2.0, 3.0
     const = (1.0 / (2.0 * g.gamma)) ** (g.rho * (inv(q1) - inv(q2)))
     samples = []
-    for f in _functions(cfg, 23, cfg.n_monotonicity, 10):
+    for f in _functions(cfg, g, 23, cfg.n_monotonicity, 10):
         grid = default_grid(f)
         lhs = fractional_norm_partition(f, g, ExponentTriple(q1, p1, alpha), grid).value
         rhs = fractional_norm_partition(f, g, ExponentTriple(q2, p2, alpha), grid).value
@@ -605,10 +599,9 @@ def _weak_cases(name: str, cols: list) -> list[InequalityCase]:
     return cases
 
 
-def check_kolmogorov_bound(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_kolmogorov_bound(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     cols = [[] for _ in WEAK_PAIRS]
-    for f in _functions(cfg, 29, cfg.n_kolmogorov, 12):
+    for f in _functions(cfg, g, 29, cfg.n_kolmogorov, 12):
         radii = default_grid(f).radii()
         for col, (q, alpha) in zip(cols, WEAK_PAIRS):
             weak = lorentz_norm(f, alpha, INF)
@@ -618,10 +611,9 @@ def check_kolmogorov_bound(cfg: SuiteConfig) -> list[InequalityCase]:
     return _weak_cases("kolmogorov-bound", cols)
 
 
-def check_weak_lorentz_embedding(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_weak_lorentz_embedding(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     cols = [[] for _ in WEAK_PAIRS]
-    for f in _functions(cfg, 41, cfg.n_weak_embedding, 12):
+    for f in _functions(cfg, g, 41, cfg.n_weak_embedding, 12):
         grid = default_grid(f)
         for col, (q, alpha) in zip(cols, WEAK_PAIRS):
             lhs = fractional_norm_ball(f, g, ExponentTriple(q, INF, alpha), grid).value
@@ -629,8 +621,7 @@ def check_weak_lorentz_embedding(cfg: SuiteConfig) -> list[InequalityCase]:
     return _weak_cases("weak-lorentz-embedding", cols)
 
 
-def check_degeneracy_slopes(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_degeneracy_slopes(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     f = simple_function(g, [((0.0,), (2.0,), 1.0)])
     low = divergence_diagnostic(f, g, ExponentTriple(2.0, INF, 1.0))
     high = divergence_diagnostic(f, g, ExponentTriple(1.0, 1.0, 2.0))
@@ -651,8 +642,14 @@ def check_degeneracy_slopes(cfg: SuiteConfig) -> list[InequalityCase]:
     return cases
 
 
-def check_sparse_union(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def _line_only(g: GroupDescriptor) -> None:
+    """Refuse a group but the line, for a criterion whose helpers run there only."""
+    if g != REAL_LINE:
+        raise ValueError(f"this criterion runs on the real line only, not on {g.name}")
+
+
+def check_sparse_union(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
+    _line_only(g)
     q, p, alpha = 1.0, 4.0, 2.0
     consts = fractional_bound_constant(q, p, alpha, g)
     levels = union_growth(q, p, alpha, cfg.max_levels)
@@ -683,35 +680,22 @@ def check_sparse_union(cfg: SuiteConfig) -> list[InequalityCase]:
     return cases
 
 
-def check_translate_counting(cfg: SuiteConfig) -> list[InequalityCase]:
-    cases = []
-    r = 1.0
-    for g in (REAL_LINE, ANISO_PLANE, HEISENBERG):
-        rng = np.random.default_rng(cfg.seed + 5)
-        ext = 16.0
-        # holds every translate's bounding box, also when sheared in t
-        window = tuple((-3.0 * ext, 3.0 * ext) for _ in range(g.d))
-        part = build_pi_r(g, r, window)
-        bound = n_pi_bound(g, part.u_radius, r / (2.0 * g.gamma), r)
-        centres = rng.uniform(-ext, ext, size=(cfg.n_translates, g.d))
-        counts = count_translate_hits(part, r, centres)
-        samples = [(float(count), bound) for count in counts.tolist()]
-        cases.append(
-            one_sided_case(
-                f"translate-counting-{g.name}",
-                samples,
-                1.0,
-                0.0,
-                {"bound": bound, "scale_r": r},
-            )
-        )
-    return cases
+def check_translate_counting(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
+    r, ext = 1.0, 16.0
+    rng = np.random.default_rng(cfg.seed + 5)
+    # holds every translate's bounding box, also when sheared in t
+    window = tuple((-3.0 * ext, 3.0 * ext) for _ in range(g.d))
+    part = build_pi_r(g, r, window)
+    bound = n_pi_bound(g, part.u_radius, r / (2.0 * g.gamma), r)
+    counts = count_translate_hits(part, r, rng.uniform(-ext, ext, size=(cfg.n_translates, g.d)))
+    samples = [(float(count), bound) for count in counts.tolist()]
+    ctx = {"bound": bound, "scale_r": r}
+    return [one_sided_case(f"translate-counting-{g.name}", samples, 1.0, 0.0, ctx)]
 
 
-def check_covering_limit(cfg: SuiteConfig) -> list[InequalityCase]:
-    g = REAL_LINE
+def check_covering_limit(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
     mono, attain = [], []
-    for i, f in enumerate(_functions(cfg, 43, cfg.n_limit, 10)):
+    for i, f in enumerate(_functions(cfg, g, 43, cfg.n_limit, 10)):
         q = (1.0, 2.0, 3.0)[i % 3]
         bb = f.bounding_box()
         cover_r = 1.01 * (bb[0][1] - bb[0][0]) / 2.0
@@ -725,12 +709,14 @@ def check_covering_limit(cfg: SuiteConfig) -> list[InequalityCase]:
     ]
 
 
-def check_tail_norm_constant(cfg: SuiteConfig) -> list[InequalityCase]:
+def check_tail_norm_constant(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
+    _line_only(g)
     params = ((4.0, 2.0, 1.0), (4.0, 2.0, 4.0), (3.0, 1.5, 2.0), (2.0, 1.0, 4.0))
     return [tail_constant_check(theta, p, a) for theta, p, a in params]
 
 
-def check_damped_tail_bound(cfg: SuiteConfig) -> list[InequalityCase]:
+def check_damped_tail_bound(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
+    _line_only(g)
     params = (
         (4.0, 2.0, 2.0, 1.0, 0.2),
         (4.0, 2.0, 1.0, 1.0, 0.2),
@@ -740,7 +726,7 @@ def check_damped_tail_bound(cfg: SuiteConfig) -> list[InequalityCase]:
     return [damped_tail_check(theta, p, q, eps, r) for theta, p, q, eps, r in params]
 
 
-CRITERIA: dict[str, Callable[[SuiteConfig], list[InequalityCase]]] = {
+CRITERIA: dict[str, Callable[[SuiteConfig, GroupDescriptor], list[InequalityCase]]] = {
     "diagonal-identity": check_diagonal_identity,
     "fubini-identity": check_fubini_identity,
     "partition-ball-equivalence": check_partition_ball_equivalence,
@@ -759,6 +745,14 @@ CRITERIA: dict[str, Callable[[SuiteConfig], list[InequalityCase]]] = {
 }
 ALL_CRITERIA = tuple(CRITERIA)
 
+# The groups each criterion runs on, in order; a criterion not named here
+# runs on the real line.  CRITERIA keeps plain functions: perfbench/spans.py
+# names and rebinds the per-criterion spans from its values.
+GROUPS_OF: dict[str, tuple[GroupDescriptor, ...]] = {
+    "partition-ball-equivalence": tuple(EQUIVALENCE),
+    "translate-counting": (REAL_LINE, ANISO_PLANE, HEISENBERG),
+}
+
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[InequalityCase]:
     """Run the selected criteria; construction errors become per-case
@@ -774,7 +768,8 @@ def run_suite_timed(cfg: SuiteConfig = SuiteConfig()) -> tuple[list[InequalityCa
     for name in cfg.selected():
         start = time.perf_counter()
         try:
-            cases.extend(CRITERIA[name](cfg))
+            for g in GROUPS_OF.get(name, (REAL_LINE,)):
+                cases.extend(CRITERIA[name](cfg, g))
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             cases.append(error_case(name, exc))
         seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start

@@ -12,12 +12,30 @@ from amalgams.groups import (
     HEISENBERG,
     REAL_LINE,
     GroupDescriptor,
-    estimate_gamma,
     get_group,
-    sample_points,
 )
 
 ALL = [REAL_LINE, ANISO_PLANE, HEISENBERG]
+
+
+def sample_points(g: GroupDescriptor, n: int, extent: float, seed: int) -> np.ndarray:
+    """Deterministic batch of points in [-extent, extent]^d, shape (n, d)."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-extent, extent, size=(n, g.d))
+
+
+def estimate_gamma(g: GroupDescriptor, n_pairs: int = 10_000) -> float:
+    """Sampled sup of |xy| / (|x| + |y|) over n_pairs seeded pairs; a lower
+    estimate of gamma."""
+    xs = sample_points(g, n_pairs, 5.0, 7)
+    ys = sample_points(g, n_pairs, 5.0, 8)
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        xt, yt = tuple(x), tuple(y)
+        denom = g.hom_norm(xt) + g.hom_norm(yt)
+        if denom > 0:
+            worst = max(worst, g.hom_norm(g.compose(xt, yt)) / denom)
+    return worst
 
 
 def test_compose_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,21 @@ import pytest
 
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.partitions import (
+    UniformPartition,
     build_pi_r,
     cell_shape,
     check_scales,
     count_translate_hits,
     n_pi_bound,
     validate,
-    with_base_override,
 )
+
+
+class _CornerBase(UniformPartition):
+    """The line partition with the base point of cell (0,) at its corner 0."""
+
+    def base_point(self, idx):
+        return (0.0,) if idx == (0,) else super().base_point(idx)
 
 
 def test_line_cells_at_unit_scale():
@@ -61,7 +69,7 @@ def test_validate_constructed_partitions(g, octave):
 
 def test_validate_catches_corner_base_point():
     p = build_pi_r(REAL_LINE, 1.0, ((-2.0, 2.0),))
-    bad = with_base_override(p, {(0,): (0.0,)})  # corner of [0, 0.5)
+    bad = _CornerBase(**{f.name: getattr(p, f.name) for f in dataclasses.fields(p)})  # corner of [0, 0.5)
     rep = validate(bad, samples=16)
     assert not rep.ok
     assert any("escapes" in msg for msg in rep.failures)

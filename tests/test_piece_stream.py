@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from amalgams import groups
-from amalgams.amalgam import _cells_norm, partition_norm
+from amalgams.amalgam import _cells_norms, partition_norm
 from amalgams.fracmean import _partition_norms, partition_for
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.simplefn import _unit_exponent, simple_function
@@ -20,6 +20,12 @@ INF = math.inf
 ALL = (REAL_LINE, ANISO_PLANE, HEISENBERG)
 EXPONENTS = (1.0, 1.5, 2.0, INF)
 WINDOW = ((-2.0, 2.0), (-1.0, 3.0), (-0.5, 0.5))
+
+
+def _cells_norm(acc, q, p, e):
+    """The norm of one run of _cells_norms from each cell's sum of v^q lambda
+    (its max v at q = inf)."""
+    return _cells_norms(acc if math.isinf(q) else [a ** (1.0 / q) for a in acc], [0], p, e)[0]
 
 
 def _box_pieces(f, part):

@@ -161,7 +161,7 @@ def test_degenerate_embedding_triple_is_misuse():
 def test_run_suite_reports_construction_errors(monkeypatch):
     import amalgams.verify as verify_mod
 
-    def boom(cfg):
+    def boom(cfg, g):
         raise RuntimeError("synthetic construction failure")
 
     monkeypatch.setitem(verify_mod.CRITERIA, "diagonal-identity", boom)
@@ -194,3 +194,46 @@ def test_suite_config_keeps_its_window_as_floats():
     cfg = SuiteConfig(seed=0, window=[[-2, 2]])
     assert cfg.window == ((-2.0, 2.0),) and all(type(x) is float for x in cfg.window[0])
     assert SuiteConfig().window == ((-4.0, 4.0),)
+
+
+def test_case_ids_are_unique_over_the_default_suite():
+    ids = [c.id for c in run_suite()]
+    assert len(ids) == 51
+    assert len(set(ids)) == len(ids), sorted(i for i in ids if ids.count(i) > 1)
+
+
+def test_the_default_table_runs_every_criterion_on_the_line_and_three_beyond(monkeypatch):
+    import amalgams.verify as verify_mod
+
+    calls = []
+    for name in verify_mod.ALL_CRITERIA:
+        monkeypatch.setitem(verify_mod.CRITERIA, name, lambda cfg, g, name=name: calls.append((name, g.name)) or [])
+    run_suite()
+    expected = []
+    for name in verify_mod.ALL_CRITERIA:
+        expected.append((name, "real-line"))
+        if name == "partition-ball-equivalence":
+            expected.append((name, "heisenberg"))
+        if name == "translate-counting":
+            expected += [(name, "aniso-plane"), (name, "heisenberg")]
+    assert calls == expected
+
+
+def test_a_criterion_runs_on_the_groups_its_table_entry_names(monkeypatch):
+    import amalgams.verify as verify_mod
+
+    monkeypatch.setitem(verify_mod.GROUPS_OF, "lebesgue-embedding", (HEISENBERG,))
+    cases = run_suite(SuiteConfig(criteria=("lebesgue-embedding",), n_embedding=2))
+    assert [c.status for c in cases] == ["pass"] * 4
+    assert all(c.context["group"] == "heisenberg" for c in cases)
+    assert all(c.context["samples"] == 2 for c in cases)
+
+
+@pytest.mark.parametrize("name", ["sparse-union", "tail-norm-constant", "damped-tail-bound"])
+def test_a_line_only_criterion_refuses_another_group(monkeypatch, name):
+    import amalgams.verify as verify_mod
+
+    monkeypatch.setitem(verify_mod.GROUPS_OF, name, (HEISENBERG,))
+    cases = run_suite(SuiteConfig(criteria=(name,), max_levels=2))
+    assert [c.status for c in cases] == ["error"]
+    assert "real line only" in cases[0].context["exception"]
