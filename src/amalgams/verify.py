@@ -262,7 +262,7 @@ def tail_constant_check(theta: float, p: float, a: float) -> InequalityCase:
     shell mesh 0.005, against the closed form."""
     g, mesh = REAL_LINE, 0.005
     closed = tail_norm_constant(theta, p, a, g)
-    ctx = {"theta": theta, "p": p, "a": a, "group": g.name}
+    ctx = {"theta": theta, "p": p, "a": a}
     case_id = f"tail-norm-constant-theta={theta}-p={p}-a={a}"
     if p == 1.0:
         disc = radial_power_fn(g, "power", theta, (a, 4.0 * a), mesh, sample="inner-edge")
@@ -354,12 +354,12 @@ class SuiteConfig:
 
 
 def _suite_criteria(value) -> tuple[str, ...] | None:
-    """None (every criterion), or a list of names in ALL_CRITERIA; a string
-    is not a list of names."""
+    """None (every criterion), or a non-empty list of names in ALL_CRITERIA;
+    a string is not a list of names."""
     if value is None:
         return None
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"config key 'criteria' needs a list of criterion names, got {value!r}")
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"config key 'criteria' needs a non-empty list of criterion names, got {value!r}")
     for name in value:
         if name not in ALL_CRITERIA:
             raise ValueError(f"config key 'criteria' names an unknown criterion {name!r}")
@@ -396,7 +396,10 @@ def _wide_grid(f: SimpleFunction) -> RadiusGrid:
 
 
 # The window of each group's random functions; the line's is the config's.
-WINDOWS = {HEISENBERG: ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))}
+WINDOWS = {
+    ANISO_PLANE: ((-2.0, 2.0), (-4.0, 4.0)),
+    HEISENBERG: ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
+}
 
 
 def _window(cfg: SuiteConfig, g: GroupDescriptor):
@@ -412,7 +415,8 @@ def _functions(cfg: SuiteConfig, g: GroupDescriptor, salt: int, n: int, max_cell
 
 # -- criteria -----------------------------------------------------------------
 #
-# Each check runs its criterion on one group g; GROUPS_OF says which.
+# Each check runs its criterion on one group g; GROUPS_OF says which, and
+# the runner names g in every case's id and context.
 # Each criterion builds each of its functions once, with its grid or
 # partition, and evaluates every exponent on it, so that the amalgam memo
 # replays the exponent-free pieces; a function's radii go in one call per
@@ -426,10 +430,7 @@ def check_diagonal_identity(cfg: SuiteConfig, g: GroupDescriptor) -> list[Inequa
         part = partition_for(f, g, 2.0 ** (i % 5 - 2))
         for col, p in zip(cols, ps):
             col.append((partition_norm(f, part, p, p), lebesgue_norm(f, p)))
-    return [
-        identity_case(f"diagonal-identity-p={p}", col, 1e-12, {"group": g.name})
-        for p, col in zip(ps, cols)
-    ]
+    return [identity_case(f"diagonal-identity-p={p}", col, 1e-12) for p, col in zip(ps, cols)]
 
 
 def check_fubini_identity(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
@@ -439,10 +440,7 @@ def check_fubini_identity(cfg: SuiteConfig, g: GroupDescriptor) -> list[Inequali
         r = 2.0 ** (i % 5 - 2)
         for col, q in zip(cols, qs):
             col.append((ball_norm(f, g, r, q, q), g.ball_measure(r) ** (1.0 / q) * lebesgue_norm(f, q)))
-    return [
-        identity_case(f"fubini-identity-q={q}", col, 1e-9, {"group": g.name})
-        for q, col in zip(qs, cols)
-    ]
+    return [identity_case(f"fubini-identity-q={q}", col, 1e-9) for q, col in zip(qs, cols)]
 
 
 # The (q, p) pairs, radii and most cells per function of each group's
@@ -467,14 +465,13 @@ def check_partition_ball_equivalence(cfg: SuiteConfig, g: GroupDescriptor) -> li
         upper_const = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
         floor = 0.8 * (4.0 * g.gamma**2) ** (-g.rho * inv(p))
         ctx = {
-            "group": g.name,
             "q": q,
             "p": p,
             "observed_min": min(col),
             "observed_max": max(col),
             "empirical_floor": floor,
         }
-        name = f"{g.name}-q={q}-p={p}"
+        name = f"q={q}-p={p}"
         upper = [(rr, upper_const) for rr in col]
         cases.append(one_sided_case(f"partition-ball-equivalence-upper-{name}", upper, 1.0, 0.0, ctx))
         lower = [(floor, rr) for rr in col]
@@ -489,17 +486,15 @@ def check_lebesgue_embedding(cfg: SuiteConfig, g: GroupDescriptor) -> list[Inequ
         grid = default_grid(f)
         for raw, col in cols.items():
             col.append((fractional_norm_partition(f, g, triples[raw], grid).value, lebesgue_norm(f, raw[2])))
-    return [
-        one_sided_case(
-            f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}", cols[q, p, alpha], 1.0, 1e-9, {"group": g.name}
-        )
-        if (q, p, alpha) in cols
-        else misuse_case(
-            f"lebesgue-embedding-{q}-{p}-{alpha}",
-            f"triple classified {triples[q, p, alpha].classify()}; the embedding needs q <= alpha <= p",
-        )
-        for q, p, alpha in cfg.embedding_triples
-    ]
+    cases = []
+    for q, p, alpha in cfg.embedding_triples:
+        case_id = f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}"
+        if (q, p, alpha) in cols:
+            cases.append(one_sided_case(case_id, cols[q, p, alpha], 1.0, 1e-9))
+        else:
+            reason = f"triple classified {triples[q, p, alpha].classify()}; the embedding needs q <= alpha <= p"
+            cases.append(misuse_case(case_id, reason))
+    return cases
 
 
 HOLDER_SPLITTINGS = (
@@ -625,21 +620,10 @@ def check_degeneracy_slopes(cfg: SuiteConfig, g: GroupDescriptor) -> list[Inequa
     f = simple_function(g, [((0.0,), (2.0,), 1.0)])
     low = divergence_diagnostic(f, g, ExponentTriple(2.0, INF, 1.0))
     high = divergence_diagnostic(f, g, ExponentTriple(1.0, 1.0, 2.0))
-    cases = [
-        identity_case(
-            "degeneracy-slope-low",
-            [(low.slope, low.theory)],
-            0.05,
-            {"end": low.end, "theory": low.theory},
-        ),
-        identity_case(
-            "degeneracy-slope-high",
-            [(high.slope, high.theory)],
-            0.05,
-            {"end": high.end, "theory": high.theory},
-        ),
+    return [
+        identity_case(f"degeneracy-slope-{side}", [(d.slope, d.theory)], 0.05, {"end": d.end, "theory": d.theory})
+        for side, d in (("low", low), ("high", high))
     ]
-    return cases
 
 
 def _line_only(g: GroupDescriptor) -> None:
@@ -690,7 +674,7 @@ def check_translate_counting(cfg: SuiteConfig, g: GroupDescriptor) -> list[Inequ
     counts = count_translate_hits(part, r, rng.uniform(-ext, ext, size=(cfg.n_translates, g.d)))
     samples = [(float(count), bound) for count in counts.tolist()]
     ctx = {"bound": bound, "scale_r": r}
-    return [one_sided_case(f"translate-counting-{g.name}", samples, 1.0, 0.0, ctx)]
+    return [one_sided_case("translate-counting", samples, 1.0, 0.0, ctx)]
 
 
 def check_covering_limit(cfg: SuiteConfig, g: GroupDescriptor) -> list[InequalityCase]:
@@ -746,7 +730,8 @@ CRITERIA: dict[str, Callable[[SuiteConfig, GroupDescriptor], list[InequalityCase
 ALL_CRITERIA = tuple(CRITERIA)
 
 # The groups each criterion runs on, in order; a criterion not named here
-# runs on the real line.  CRITERIA keeps plain functions: perfbench/spans.py
+# runs on the real line, and a group beyond it needs a WINDOWS entry for
+# its random functions.  CRITERIA keeps plain functions: perfbench/spans.py
 # names and rebinds the per-criterion spans from its values.
 GROUPS_OF: dict[str, tuple[GroupDescriptor, ...]] = {
     "partition-ball-equivalence": tuple(EQUIVALENCE),
@@ -755,23 +740,27 @@ GROUPS_OF: dict[str, tuple[GroupDescriptor, ...]] = {
 
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[InequalityCase]:
-    """Run the selected criteria; construction errors become per-case
-    reports instead of aborting the suite."""
+    """Run the selected criteria on their groups; an error in one
+    (criterion, group) becomes that pair's error case instead of aborting
+    the suite."""
     return run_suite_timed(cfg)[0]
 
 
 def run_suite_timed(cfg: SuiteConfig = SuiteConfig()) -> tuple[list[InequalityCase], dict[str, float]]:
     """The cases of :func:`run_suite`, and the wall time in seconds of each
-    selected criterion (summed over its repeats), in the order run."""
+    selected criterion (summed over its groups and repeats), in the order
+    run.  Each case's id ends with its group's name, which its context
+    holds under "group"."""
     cases: list[InequalityCase] = []
     seconds: dict[str, float] = {}
     for name in cfg.selected():
         start = time.perf_counter()
-        try:
-            for g in GROUPS_OF.get(name, (REAL_LINE,)):
-                cases.extend(CRITERIA[name](cfg, g))
-        except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            cases.append(error_case(name, exc))
+        for g in GROUPS_OF.get(name, (REAL_LINE,)):
+            try:
+                found = CRITERIA[name](cfg, g)
+            except Exception as exc:  # noqa: BLE001 - reported, not fatal
+                found = [error_case(name, exc)]
+            cases += [replace(c, id=f"{c.id}-{g.name}", context={**c.context, "group": g.name}) for c in found]
         seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
     return cases, seconds
 

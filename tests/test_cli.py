@@ -407,7 +407,7 @@ def test_verify_embedding_triple_of_strings_runs(capsys, tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     cases = json.loads(out.read_text())["cases"]
-    assert [(c["id"], c["status"]) for c in cases] == [("lebesgue-embedding-q=1.0-p=inf-alpha=2.0", "pass")]
+    assert [(c["id"], c["status"]) for c in cases] == [("lebesgue-embedding-q=1.0-p=inf-alpha=2.0-real-line", "pass")]
 
 
 def test_suite_config_refuses_a_malformed_triple_or_criterion():

@@ -52,6 +52,12 @@ CFGS = [
 # -- the replaced per-radius loops -----------------------------------------------
 
 
+def stamp(cases, g):
+    """The suite runner's labels: the group at the end of each id and in
+    each context."""
+    return [replace(c, id=f"{c.id}-{g.name}", context={**c.context, "group": g.name}) for c in cases]
+
+
 def equivalence_instance(cfg, g, pairs, radii, window, max_cells):
     base_q, base_p = partition_constants(g)
     ratios = [[] for _ in pairs]
@@ -66,19 +72,18 @@ def equivalence_instance(cfg, g, pairs, radii, window, max_cells):
         upper_const = base_q ** (g.rho * inv(q)) * base_p ** (g.rho * inv(p))
         floor = 0.8 * (4.0 * g.gamma**2) ** (-g.rho * inv(p))
         ctx = {
-            "group": g.name,
             "q": q,
             "p": p,
             "observed_min": min(col),
             "observed_max": max(col),
             "empirical_floor": floor,
         }
-        name = f"{g.name}-q={q}-p={p}"
+        name = f"q={q}-p={p}"
         upper = [(rr, upper_const) for rr in col]
         cases.append(one_sided_case(f"partition-ball-equivalence-upper-{name}", upper, 1.0, 0.0, ctx))
         lower = [(floor, rr) for rr in col]
         cases.append(one_sided_case(f"partition-ball-equivalence-lower-{name}", lower, 1.0, 0.0, ctx))
-    return cases
+    return stamp(cases, g)
 
 
 def partition_ball_equivalence(cfg):
@@ -105,7 +110,7 @@ def kolmogorov_bound(cfg):
     for (q, alpha), col in zip(WEAK_PAIRS, cols):
         const = (alpha / (alpha - q)) ** (1.0 / q)
         cases.append(one_sided_case(f"kolmogorov-bound-q={q}-alpha={alpha}", col, const, 1e-9, {"constant": const}))
-    return cases
+    return stamp(cases, g)
 
 
 def covering_limit(cfg):
@@ -120,10 +125,11 @@ def covering_limit(cfg):
         vals = [ball_norm(f, g, r, q, INF) for r in radii]
         mono.extend((vals[k], vals[k + 1]) for k in range(len(vals) - 1))
         attain.append((vals[-1], lebesgue_norm(f, q)))
-    return [
+    cases = [
         one_sided_case("covering-limit-monotone", mono, 1.0, 1e-12),
         identity_case("covering-limit-attained", attain, 1e-12),
     ]
+    return stamp(cases, g)
 
 
 def old_conv_q_indicator(f, q, r, x, mesh=48):

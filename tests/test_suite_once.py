@@ -83,6 +83,12 @@ def identity_case(case_id, samples, tolerance, context=None):
     return InequalityCase(case_id, worst[0], worst[1], 1.0, -worst_d, status, tolerance, ctx)
 
 
+def stamp(cases, g):
+    """The suite runner's labels: the group at the end of each id and in
+    each context."""
+    return [replace(c, id=f"{c.id}-{g.name}", context={**c.context, "group": g.name}) for c in cases]
+
+
 def diagonal_identity(cfg):
     g = REAL_LINE
     cases = []
@@ -93,8 +99,8 @@ def diagonal_identity(cfg):
             r = 2.0 ** (i % 5 - 2)
             part = partition_for(f, g, r)
             samples.append((partition_norm(f, part, p, p), lebesgue_norm(f, p)))
-        cases.append(identity_case(f"diagonal-identity-p={p}", samples, 1e-12, {"group": g.name}))
-    return cases
+        cases.append(identity_case(f"diagonal-identity-p={p}", samples, 1e-12))
+    return stamp(cases, g)
 
 
 def fubini_identity(cfg):
@@ -106,8 +112,8 @@ def fubini_identity(cfg):
             f = gen_random_simple(cfg.seed + 13 * i, 1 + i % 12, cfg.window, g)
             r = 2.0 ** (i % 5 - 2)
             samples.append((ball_norm(f, g, r, q, q), g.ball_measure(r) ** (1.0 / q) * lebesgue_norm(f, q)))
-        cases.append(identity_case(f"fubini-identity-q={q}", samples, 1e-9, {"group": g.name}))
-    return cases
+        cases.append(identity_case(f"fubini-identity-q={q}", samples, 1e-9))
+    return stamp(cases, g)
 
 
 def equivalence_instance(cfg, g, q, p, n_functions, radii, window, max_cells):
@@ -123,29 +129,29 @@ def equivalence_instance(cfg, g, q, p, n_functions, radii, window, max_cells):
             pn = partition_norm(f, part, q, p)
             ratios.append(r ** (-g.rho * inv(p)) * bn / pn)
     ctx = {
-        "group": g.name,
         "q": q,
         "p": p,
         "observed_min": min(ratios),
         "observed_max": max(ratios),
         "empirical_floor": floor,
     }
-    return [
+    cases = [
         one_sided_case(
-            f"partition-ball-equivalence-upper-{g.name}-q={q}-p={p}",
+            f"partition-ball-equivalence-upper-q={q}-p={p}",
             [(rr, upper_const) for rr in ratios],
             1.0,
             0.0,
             ctx,
         ),
         one_sided_case(
-            f"partition-ball-equivalence-lower-{g.name}-q={q}-p={p}",
+            f"partition-ball-equivalence-lower-q={q}-p={p}",
             [(floor, rr) for rr in ratios],
             1.0,
             0.0,
             ctx,
         ),
     ]
+    return stamp(cases, g)
 
 
 def partition_ball_equivalence(cfg):
@@ -168,7 +174,7 @@ def lebesgue_embedding(cfg):
         if t.classify() != NONTRIVIAL:
             cases.append(
                 misuse_case(
-                    f"lebesgue-embedding-{q}-{p}-{alpha}",
+                    f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}",
                     f"triple classified {t.classify()}; the embedding needs q <= alpha <= p",
                 )
             )
@@ -178,12 +184,8 @@ def lebesgue_embedding(cfg):
             f = gen_random_simple(cfg.seed + 7 * i, 1 + i % 12, cfg.window, g)
             res = fractional_norm_partition(f, g, t, default_grid(f))
             samples.append((res.value, lebesgue_norm(f, alpha)))
-        cases.append(
-            one_sided_case(
-                f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}", samples, 1.0, 1e-9, {"group": g.name}
-            )
-        )
-    return cases
+        cases.append(one_sided_case(f"lebesgue-embedding-q={q}-p={p}-alpha={alpha}", samples, 1.0, 1e-9))
+    return stamp(cases, g)
 
 
 def alpha_endpoint_sandwiches(cfg):
@@ -209,7 +211,7 @@ def alpha_endpoint_sandwiches(cfg):
         cases.append(one_sided_case(f"alpha-eq-q-lower-q={q}-p={p}", up_q, cq, 1e-9, {"constant": cq}))
         cases.append(one_sided_case(f"alpha-eq-p-upper-q={q}-p={p}", low_p, 1.0, 1e-9))
         cases.append(one_sided_case(f"alpha-eq-p-lower-q={q}-p={p}", up_p, cp, 1e-9, {"constant": cp}))
-    return cases
+    return stamp(cases, g)
 
 
 def exponent_monotonicity(cfg):
@@ -224,7 +226,7 @@ def exponent_monotonicity(cfg):
         rhs = fractional_norm_partition(f, g, ExponentTriple(q2, p2, alpha), grid).value
         samples.append((lhs, rhs))
     ctx = {"q1": q1, "p1": p1, "alpha": alpha, "q2": q2, "p2": p2, "constant": const}
-    return [one_sided_case("exponent-monotonicity", samples, const, 1e-9, ctx)]
+    return stamp([one_sided_case("exponent-monotonicity", samples, const, 1e-9, ctx)], g)
 
 
 def kolmogorov_bound(cfg):
@@ -243,7 +245,7 @@ def kolmogorov_bound(cfg):
         cases.append(
             one_sided_case(f"kolmogorov-bound-q={q}-alpha={alpha}", samples, const, 1e-9, {"constant": const})
         )
-    return cases
+    return stamp(cases, g)
 
 
 def weak_lorentz_embedding(cfg):
@@ -262,7 +264,7 @@ def weak_lorentz_embedding(cfg):
                 f"weak-lorentz-embedding-q={q}-alpha={alpha}", samples, const, 1e-9, {"constant": const}
             )
         )
-    return cases
+    return stamp(cases, g)
 
 
 def covering_limit(cfg):
@@ -277,10 +279,11 @@ def covering_limit(cfg):
         vals = [ball_norm(f, g, r, q, INF) for r in radii]
         mono.extend((vals[k], vals[k + 1]) for k in range(len(vals) - 1))
         attain.append((vals[-1], lebesgue_norm(f, q)))
-    return [
+    cases = [
         one_sided_case("covering-limit-monotone", mono, 1.0, 1e-12),
         identity_case("covering-limit-attained", attain, 1e-12),
     ]
+    return stamp(cases, g)
 
 
 # criterion -> (replaced body, its count field, function builds per sample)

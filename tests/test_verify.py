@@ -5,7 +5,7 @@ import pytest
 
 from amalgams.amalgam import ball_norm
 from amalgams.fracmean import conjugate
-from amalgams.groups import HEISENBERG, REAL_LINE
+from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.simplefn import lebesgue_norm
 from amalgams.verify import (
     SuiteConfig,
@@ -134,7 +134,8 @@ def test_non_finite_sample_fails_its_case(pair):
 
 
 def test_run_suite_empty_and_unknown():
-    assert run_suite(SuiteConfig(criteria=())) == []
+    with pytest.raises(ValueError, match="'criteria'"):
+        run_suite(SuiteConfig(criteria=()))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(criteria=("no-such-check",)))
 
@@ -197,9 +198,11 @@ def test_suite_config_keeps_its_window_as_floats():
 
 
 def test_case_ids_are_unique_over_the_default_suite():
-    ids = [c.id for c in run_suite()]
+    cases = run_suite()
+    ids = [c.id for c in cases]
     assert len(ids) == 51
     assert len(set(ids)) == len(ids), sorted(i for i in ids if ids.count(i) > 1)
+    assert all(c.id.endswith("-" + c.context["group"]) for c in cases)
 
 
 def test_the_default_table_runs_every_criterion_on_the_line_and_three_beyond(monkeypatch):
@@ -222,11 +225,12 @@ def test_the_default_table_runs_every_criterion_on_the_line_and_three_beyond(mon
 def test_a_criterion_runs_on_the_groups_its_table_entry_names(monkeypatch):
     import amalgams.verify as verify_mod
 
-    monkeypatch.setitem(verify_mod.GROUPS_OF, "lebesgue-embedding", (HEISENBERG,))
-    cases = run_suite(SuiteConfig(criteria=("lebesgue-embedding",), n_embedding=2))
-    assert [c.status for c in cases] == ["pass"] * 4
-    assert all(c.context["group"] == "heisenberg" for c in cases)
-    assert all(c.context["samples"] == 2 for c in cases)
+    for g in (HEISENBERG, ANISO_PLANE):
+        monkeypatch.setitem(verify_mod.GROUPS_OF, "lebesgue-embedding", (g,))
+        cases = run_suite(SuiteConfig(criteria=("lebesgue-embedding",), n_embedding=2))
+        assert [c.status for c in cases] == ["pass"] * 4
+        assert all(c.context["group"] == g.name and c.id.endswith("-" + g.name) for c in cases)
+        assert all(c.context["samples"] == 2 for c in cases)
 
 
 @pytest.mark.parametrize("name", ["sparse-union", "tail-norm-constant", "damped-tail-bound"])
@@ -237,3 +241,21 @@ def test_a_line_only_criterion_refuses_another_group(monkeypatch, name):
     cases = run_suite(SuiteConfig(criteria=(name,), max_levels=2))
     assert [c.status for c in cases] == ["error"]
     assert "real line only" in cases[0].context["exception"]
+
+
+def test_a_failing_group_does_not_stop_the_next(monkeypatch):
+    import amalgams.verify as verify_mod
+
+    check = verify_mod.CRITERIA["translate-counting"]
+
+    def flaky(cfg, g):
+        if g == ANISO_PLANE:
+            raise RuntimeError("synthetic aniso-plane failure")
+        return check(cfg, g)
+
+    monkeypatch.setitem(verify_mod.CRITERIA, "translate-counting", flaky)
+    cases = run_suite(SuiteConfig(criteria=("translate-counting",)))
+    assert [c.status for c in cases] == ["pass", "error", "pass"]
+    assert [c.context["group"] for c in cases] == ["real-line", "aniso-plane", "heisenberg"]
+    assert cases[1].id == "translate-counting-aniso-plane"
+    assert "synthetic" in cases[1].context["exception"]
