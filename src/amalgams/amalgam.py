@@ -149,19 +149,20 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, blocks) -> li
     per-cell powers and the sum over cells stay in Python (libm's powers,
     fsum).  Where the cells' sums lose digits (:func:`_cells_hold`), the
     local norms are taken by :func:`_power_sums` instead.  A radius without
-    pieces has norm 0."""
+    pieces has norm 0.  At q = 1 the sums are the local norms: libm's x**1.0
+    is x."""
     e = _unit_exponent(f.max_value, q, p)
     vals = [math.ldexp(c.value, -e) for c in f.cells]
-    powers = vals if math.isinf(q) else [x**q for x in vals]
+    powers = vals if math.isinf(q) else _pow(vals, q)
     v = np.array(powers)
     plain = math.isinf(q) or _cells_hold(f, q, powers)
-    norms = [0.0] * n
+    norms, root = [0.0] * n, 1.0 / q
     for box, m, runs, starts, firsts, owners in blocks:
         if math.isinf(q):
-            local = np.maximum.reduceat(v[box], starts).tolist()
+            local = np.maximum.reduceat(v[box], starts)
         elif plain:
             sums = np.bincount(runs, weights=v[box] * m)
-            local = [a ** (1.0 / q) for a in sums.tolist()]
+            local = sums if q == 1.0 else _pow(sums.tolist(), root)
         else:
             local = _power_sums(np.array(vals)[box], q, m, starts.tolist())
         for j, norm in zip(owners, _cells_norms(local, firsts, p, e)):
@@ -169,41 +170,59 @@ def _partition_sums(f: SimpleFunction, q: float, p: float, n: int, blocks) -> li
     return norms
 
 
+def _pow(xs: list[float], a: float) -> list[float]:
+    """[x**a for x in xs] by Python's (libm's) pow; xs itself at a = 1, where
+    that pow is exact."""
+    return xs if a == 1.0 else [x**a for x in xs]
+
+
 def _sorted_pieces(pieces):
     """The nonempty blocks of whole radii (radius, box, cell index, measure)
     of a ``partition_pieces`` stream, grouped by (radius, cell index) with a
     stable sort, so that each cell's pieces stay in stream order: (box,
     measure, run id of each piece, first piece of each run, first run of
-    each radius (a list), radius of those runs (a list))."""
+    each radius (a list), radius of those runs (a list)).  A block already
+    in that order, as the pieces of a line function whose cells are in
+    order along it, keeps its arrays."""
     for radius, box, idx, m in pieces:
         if not len(radius):
             continue
         order = np.lexsort((*idx.T[::-1], radius))
-        radius, idx = radius[order], idx[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (radius[1:] != radius[:-1]) | np.any(idx[1:] != idx[:-1], axis=1)
-        starts = np.flatnonzero(new)
+        if np.count_nonzero(order[1:] < order[:-1]):
+            radius, box, idx, m = radius[order], box[order], idx.take(order, axis=0), m[order]
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        np.logical_or(radius[1:] != radius[:-1], (idx[1:] != idx[:-1]).any(axis=1), out=new[1:])
+        starts = new.nonzero()[0]
         owner = radius[starts]
-        firsts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]
-        yield box[order], m[order], np.cumsum(new) - 1, starts, firsts, owner[firsts].tolist()
+        firsts = [0, *((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist()]
+        yield box, m, new.cumsum() - 1, starts, firsts, owner[firsts].tolist()
 
 
-def _cells_norms(local: list[float], firsts: list[int], p: float, e: int) -> list[float]:
+def _cells_norms(local, firsts: list[int], p: float, e: int) -> list[float]:
     """The ell^p norm over cells of each run local[a:b] of local L^q norms
-    between consecutive firsts (the last run ends at len(local)), for
-    values scaled by 2**-e.  The powers of all runs are taken in one list
-    sweep, with Python's (libm's) pow, and each run is summed by one fsum;
-    a run whose sum lost digits is summed by :func:`_power_sums`."""
-    runs = list(zip(firsts, firsts[1:] + [len(local)]))
+    (a list or an array) between consecutive firsts (the last run ends at
+    len(local)), for values scaled by 2**-e.  At p = inf one reduceat takes
+    the max of every run, none of them empty.  Otherwise the powers of all
+    runs are taken in one list sweep, with Python's (libm's) pow, and each
+    run is summed by one fsum; a run whose sum lost digits is summed by
+    :func:`_power_sums`."""
     if math.isinf(p):
-        norms = [max(local[a:b], default=0.0) for a, b in runs]
+        norms = np.maximum.reduceat(local, firsts).tolist()
     else:
-        powers = [v**p for v in local]
+        local = local.tolist() if isinstance(local, np.ndarray) else local
+        runs = list(zip(firsts, firsts[1:] + [len(local)]))
+        powers = _pow(local, p)
         totals = [math.fsum(powers[a:b]) for a, b in runs]
-        norms = [t ** (1.0 / p) for t in totals]
+        norms = _pow(totals, 1.0 / p)
         for k in _lost_digits(powers, 1.0, totals, firsts):
             norms[k] = _power_sums(local[slice(*runs[k])], p, 1.0)[0]
-    return [_times_pow2(x, e) for x in norms] if e else norms
+    return _scaled(norms, e)
+
+
+def _scaled(xs: list[float], e: int) -> list[float]:
+    """[x * 2**e for x in xs] by :func:`_times_pow2`; xs itself at e = 0."""
+    return [_times_pow2(x, e) for x in xs] if e else xs
 
 
 # -- sliding-ball integral --------------------------------------------------
@@ -325,7 +344,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
             peaks.append(np.concatenate([np.maximum(peaks[-1][:-h], peaks[-1][h:]), peaks[-1][-h:]]))
         peaks = np.array(peaks)
     else:
-        powers = [math.ldexp(c.value, -e) ** q for c in cells]
+        powers = _pow([math.ldexp(c.value, -e) for c in cells], q)
         if not _cells_hold(f, q, powers):
             raise ValueError(RANGE_ERROR)  # the sweep is no power sum
         w = np.array([x * scale for x in powers])
@@ -407,7 +426,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
         values = rise.cumsum(axis=1)
         np.maximum(values, 0.0, out=values)
         if math.isinf(p):
-            norms += _in_range([_times_pow2(v ** (1.0 / q), e) for v in values.max(axis=1).tolist()])
+            norms += _in_range(_scaled(_pow(values.max(axis=1).tolist(), 1.0 / q), e))
             continue
         # a row's last gap is 0, so no segment joins two rows
         try:
@@ -419,7 +438,7 @@ def _ball_norm_line(f: SimpleFunction, radii: list[float], q: float, p: float) -
         totals = [sum(pieces[a:b]) for a, b in zip(heads, heads[1:] + [len(pieces)])]
         if _lost_digits(pieces, 1.0, totals, heads):
             raise ValueError(RANGE_ERROR)  # an integral of powers is no power sum
-        norms += [_times_pow2(t ** (1.0 / p), e) for t in totals]
+        norms += _scaled(_pow(totals, 1.0 / p), e)
     return norms
 
 
@@ -431,22 +450,28 @@ def _sup_norms(order, lo, hi, r, peaks, p: float, e: int, scale: float) -> list[
     y0 and y1 <= b + r.  Disjoint cells in order of a are in order of b
     too, so these are the range [E, S) of that order, where E knots b + r
     and S knots a - r lie at or before y0.  Each row's v^p dy scale are
-    summed left to right, the powers by Python's (libm's) pow."""
+    summed left to right, the powers by Python's (libm's) pow.  A segment
+    wider than the float range, though its knots and their gaps are in it,
+    has the width y1 scale - y0 scale and a term of inf, so that
+    :func:`_root` sums its row by :func:`_power_sums`."""
     kind = order % 4
     cell, kind = (x[kind % 3 == 0].reshape(len(r), -1) for x in (order // 4, kind))
     y = np.where(kind == 0, lo[cell] - r, hi[cell] + r)  # the sorted knots, as knot_blocks makes them
     with np.errstate(over="ignore"):
         dy = y[:, 1:] - y[:, :-1]
-    if not np.isfinite(dy).all():
-        raise ValueError(RANGE_ERROR)  # a segment past the float range, its knots and their gaps in it
     stop, first = (kind == 0).cumsum(axis=1)[:, :-1], (kind == 3).cumsum(axis=1)[:, :-1]  # S, E
     at = np.flatnonzero((dy > 0.0) & (first < stop))
     dy, stop, first = dy.ravel()[at], stop.ravel()[at], first.ravel()[at]
     level = np.frexp(stop - first)[1] - 1  # floor(log2(S - E))
     values = np.maximum(peaks[level, first], peaks[level, stop - (1 << level)]).tolist()
-    powers = [v**p for v in values]
+    powers = _pow(values, p)
     terms = [x * d * scale for x, d in zip(powers, dy.tolist())]
-    widths = (dy * scale).tolist()
+    widths = dy * scale
+    far = np.isinf(dy).nonzero()[0]
+    if far.size:
+        k = at[far]
+        widths[far] = y[:, 1:].ravel()[k] * scale - y[:, :-1].ravel()[k] * scale
+    widths = widths.tolist()
     rows = at.searchsorted(np.arange(len(y)) * (y.shape[1] - 1)).tolist() + [len(at)]  # each row's first
     return _in_range([_root(sum(terms[a:b]), p, e, values[a:b], widths[a:b], powers[a:b]) for a, b in zip(rows, rows[1:])])
 

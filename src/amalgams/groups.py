@@ -200,9 +200,10 @@ class BoxGeometry:
     def cell_half_extents(self, u) -> tuple:
         """Half-widths u**a_i of the cells at U-radius u, and of B(e, u); one
         array per axis for an array of u.  The powers stay Python's (libm's):
-        NumPy's may differ in the last bit."""
+        NumPy's may differ in the last bit.  At a = 1 the half-width is u
+        itself, as libm's x**1.0 is x."""
         if isinstance(u, np.ndarray):
-            return tuple([np.array([x**a for x in u.tolist()]) for a in self.g.dilation_exponents])
+            return tuple([u if a == 1.0 else np.array([x**a for x in u.tolist()]) for a in self.g.dilation_exponents])
         return tuple([u**a for a in self.g.dilation_exponents])
 
     def locate(self, steps, xs: np.ndarray) -> np.ndarray:
@@ -249,7 +250,7 @@ class BoxGeometry:
             k_min, counts = _lattice_counts(lo, hi, s)  # per (radius, box, axis)
             pieces = counts.prod(axis=2)
             per_radius = pieces.sum(axis=1)
-            if not np.all(per_radius <= MAX_PIECES):
+            if not per_radius.max() <= MAX_PIECES:
                 j = int(np.argmin(per_radius <= MAX_PIECES))
                 check_pieces(s[j, 0].tolist(), per_radius[j])
             counts, pieces = counts.astype(np.int64), pieces.astype(np.int64)
@@ -259,25 +260,29 @@ class BoxGeometry:
     def _pieces(self, r0, steps, lo, hi, k_min, counts, pieces):
         n, d = lo.shape
         cnt = pieces.ravel()
-        pair = np.repeat(np.arange(cnt.size), cnt)
+        pair = np.arange(cnt.size).repeat(cnt)
         # position of each piece within its (radius, box) product, split
         # into per-axis offsets with the last axis varying fastest
-        off = np.arange(pair.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        k_min, counts = k_min.reshape(-1, d)[pair], counts.reshape(-1, d)[pair]
+        off = np.arange(pair.size) - (cnt.cumsum() - cnt)[pair]
+        k_min, counts = k_min.reshape(-1, d).take(pair, axis=0), counts.reshape(-1, d).take(pair, axis=0)
         idx = np.empty((pair.size, d))
-        for ax in reversed(range(d)):
-            idx[:, ax] = k_min[:, ax] + off % counts[:, ax]
-            off //= counts[:, ax]
-        radius, box = r0 + pair // n, pair % n
-        s = steps[radius]
-        overlap = np.maximum(
-            0.0, np.minimum((idx + 1.0) * s, hi[box]) - np.maximum(idx * s, lo[box])
-        )
+        for ax in range(d - 1, 0, -1):
+            off, k = np.divmod(off, counts[:, ax])
+            np.add(k_min[:, ax], k, out=idx[:, ax])
+        np.add(k_min[:, 0], off, out=idx[:, 0])
+        radius, box = np.divmod(pair, n)
+        radius += r0
+        s = steps.take(radius, axis=0)
+        overlap = np.minimum((idx + 1.0) * s, hi.take(box, axis=0))
+        overlap -= np.maximum(idx * s, lo.take(box, axis=0))
+        np.maximum(overlap, 0.0, out=overlap)
         vol = overlap[:, 0]
         for ax in range(1, d):
             vol = vol * overlap[:, ax]
         keep = vol > 0.0
-        return radius[keep], box[keep], idx[keep], self.measure_scale * vol[keep]
+        if np.count_nonzero(keep) < keep.size:
+            radius, box, idx, vol = radius[keep], box[keep], idx[keep], vol[keep]
+        return radius, box, idx, self.measure_scale * vol
 
     def translate_box(self, a, r: float) -> np.ndarray:
         """Coordinate box containing a.B(e, r), as (lo, hi) per axis; here it

@@ -130,17 +130,17 @@ def check_scales(g: GroupDescriptor, radii: Sequence[float], steps, windows) -> 
     Many radii are tested in one NumPy pass, and only the first failing one
     goes on to the tests below, whose order names its error; one radius
     goes to them at once, as NumPy's fixed cost is larger than theirs.
-    Each test is written so that a NaN fails it."""
+    Each test is written so that a NaN fails it; in the pass, a < b and s
+    < inf are left out, as extent >= s >= tiny and extent / s < 2**53 give
+    them."""
     if len(radii) > 1:
         r, s, w = (np.asarray(x, dtype=float) for x in (radii, steps, windows))
         extent = w[..., 1] - w[..., 0]
         with np.errstate(all="ignore"):
-            ok = (0 < r) & (r < math.inf) & np.all(
-                (w[..., 0] < w[..., 1]) & (sys.float_info.min <= s) & (s < math.inf)
-                & (extent / s < 2.0**53) & (extent >= s),
-                axis=1,
-            )
-        if ok.all():
+            ok = (0 < r) & (r < math.inf) & (
+                (sys.float_info.min <= s) & (extent / s < 2.0**53) & (extent >= s)
+            ).all(axis=1)
+        if np.count_nonzero(ok) == len(ok):
             return
         i = int(np.argmin(ok))
         radii, steps, windows = radii[i : i + 1], s[i : i + 1].tolist(), w[i : i + 1].tolist()

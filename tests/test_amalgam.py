@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from amalgams.amalgam import ball_norm, compute_norm, conv_q_indicator, partition_norm
+from amalgams.amalgam import ball_norm, ball_norms, compute_norm, conv_q_indicator, partition_norm
 from amalgams.fracmean import partition_for
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.partitions import build_pi_r
@@ -368,6 +368,21 @@ def test_norms_whose_powers_leave_the_float_range(norm, want, may_raise):
         assert may_raise and "float range" in str(exc)
         return
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_line_ball_of_a_cell_wider_than_half_the_float_range():
+    """At r = 1e307 every gap between WIDE_CELL's knots is in range, but not
+    the segment from a - r to b + r.  At q = inf its width scaled by 1/2
+    gives the norm (b + r - (a - r)) / 2 at p = 1 and its square root at p =
+    2; at q = p = 1 the norm, about r ||f||_1 = 9e614, is past the float
+    range; at q = p = inf it is the largest value."""
+    want = 0.5 * 0.99e308 + 0.5 * 1e308
+    assert ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, 2.0) == pytest.approx(math.sqrt(want), rel=1e-12, abs=0.0)
+    assert ball_norms(WIDE_CELL, REAL_LINE, [1.0, 1e307], INF, 1.0)[1] == ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, 1.0)
+    with pytest.raises(ValueError, match="float range"):
+        ball_norm(WIDE_CELL, REAL_LINE, 1e307, 1.0, 1.0)
+    assert ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, INF) == 1.0
 
 
 def test_conv_q_indicator_beyond_the_float_range_is_inf():

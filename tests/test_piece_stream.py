@@ -13,6 +13,7 @@ from amalgams import groups
 from amalgams.amalgam import _cells_norms, partition_norm
 from amalgams.fracmean import _partition_norms, partition_for
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
+from amalgams.partitions import cell_steps
 from amalgams.simplefn import _unit_exponent, simple_function
 from amalgams.verify import gen_random_simple
 
@@ -54,7 +55,8 @@ def _dict_partition_norm(f, pieces, q, p):
 
 def _panel(g, value_scale):
     """Seeded functions whose cells sit off the dyadic lattice, so that
-    several boxes cut the same partition cell at odd offsets."""
+    several boxes cut the same partition cell at odd offsets; then one of
+    them with its cells listed last to first, and a one-cell function."""
     rng = np.random.default_rng(17)
     for seed in range(3):
         f = gen_random_simple(seed, 2 + seed, WINDOW[: g.d], g)
@@ -64,21 +66,38 @@ def _panel(g, value_scale):
             for c in f.cells
         ]
         yield simple_function(g, cells)
+    yield simple_function(g, cells[::-1])
+    yield simple_function(g, cells[:1])
+
+
+def _in_order(blocks) -> list[bool]:
+    """Whether each block of a piece stream is in (radius, cell index) order
+    already, its lexsort the identity."""
+    out = []
+    for radius, _, idx, _ in blocks:
+        order = np.lexsort((*idx.T[::-1], radius))
+        out.append(bool((order == np.arange(len(order))).all()))
+    return out
 
 
 @pytest.mark.parametrize("value_scale", [1.0, 1e300, 1e-300])
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 def test_partition_norms_match_the_dict_sum(g, value_scale):
     radii = [1.0, 2.5]
+    in_order = []  # of every stream summed, so that both kinds of block meet the dict sum
     for f in _panel(g, value_scale):
         parts = [partition_for(f, g, r) for r in radii]
         pieces = [_box_pieces(f, part) for part in parts]
+        in_order += _in_order(g.geometry.partition_pieces(cell_steps(g, radii), f.lo, f.hi))
+        for part in parts:
+            in_order += _in_order(part.intersections_with_box(f.lo, f.hi))
         for q in EXPONENTS:
             for p in EXPONENTS:
                 ref = [_dict_partition_norm(f, pcs, q, p) for pcs in pieces]
                 assert [partition_norm(f, part, q, p) for part in parts] == ref
                 assert _partition_norms(f, g, radii, q, p) == ref
                 assert all(0.0 < v < INF for v in ref)
+    assert True in in_order and False in in_order
 
 
 def _at_cap(g, f, part):
