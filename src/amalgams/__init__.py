@@ -14,7 +14,6 @@ from .fracmean import (
     ExponentTriple,
     FracNormResult,
     RadiusGrid,
-    classify,
     conjugate,
     default_grid,
     divergence_diagnostic,

@@ -176,6 +176,14 @@ def _pow(xs: list[float], a: float) -> list[float]:
     return xs if a == 1.0 else [x**a for x in xs]
 
 
+def _pow_or_inf(x: float, a: float) -> float:
+    """x**a by Python's (libm's) pow, inf where that is past the float range."""
+    try:
+        return x**a
+    except OverflowError:
+        return math.inf
+
+
 def _sorted_pieces(pieces):
     """The nonempty blocks of whole radii (radius, box, cell index, measure)
     of a ``partition_pieces`` stream, grouped by (radius, cell index) with a
@@ -205,14 +213,17 @@ def _cells_norms(local, firsts: list[int], p: float, e: int) -> list[float]:
     len(local)), for values scaled by 2**-e.  At p = inf one reduceat takes
     the max of every run, none of them empty.  Otherwise the powers of all
     runs are taken in one list sweep, with Python's (libm's) pow, and each
-    run is summed by one fsum; a run whose sum lost digits is summed by
-    :func:`_power_sums`."""
+    run is summed by one fsum; a run whose sum lost digits, or whose powers
+    leave the float range (inf), is summed by :func:`_power_sums`."""
     if math.isinf(p):
         norms = np.maximum.reduceat(local, firsts).tolist()
     else:
         local = local.tolist() if isinstance(local, np.ndarray) else local
         runs = list(zip(firsts, firsts[1:] + [len(local)]))
-        powers = _pow(local, p)
+        try:
+            powers = _pow(local, p)
+        except OverflowError:
+            powers = [_pow_or_inf(x, p) for x in local]
         totals = [math.fsum(powers[a:b]) for a, b in runs]
         norms = _pow(totals, 1.0 / p)
         for k in _lost_digits(powers, 1.0, totals, firsts):
@@ -233,7 +244,7 @@ def conv_q_indicator(
 ) -> float:
     """(|f|^q * chi_B)(x) = integral of |f|^q over x.B(e, r); ``mesh`` is
     the inner grid side of the Heisenberg ball-box kernel."""
-    return _conv_q_indicators(f, q, [r], x, mesh)[0]
+    return conv_q_indicators(f, q, [r], x, mesh)[0]
 
 
 def conv_q_indicators(
@@ -242,10 +253,6 @@ def conv_q_indicators(
     """``conv_q_indicator`` at every radius of radii, the arguments checked
     once and the overlaps of all radii asked of the geometry in one call,
     bit-identical to the single-radius calls."""
-    return _conv_q_indicators(f, q, radii, x, mesh)
-
-
-def _conv_q_indicators(f: SimpleFunction, q: float, radii: list[float], x: Point, mesh: int) -> list[float]:
     q = _check_exponent(q)
     if math.isinf(q):
         raise ValueError("q = inf is not supported here; use the sup-norm branch")

@@ -35,18 +35,6 @@ from .verify import SuiteConfig, run_suite_timed, suite_passed
 OUT_DIR_ENV = "AMALGAMS_OUT_DIR"
 
 
-def parse_exponent(token: str) -> float:
-    if token.strip().lower() in ("inf", "infinity", "+inf"):
-        return math.inf
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(f"cannot parse exponent {token!r}") from None
-    if not value >= 1.0:
-        raise ValueError(f"exponents must lie in [1, inf], got {token}")
-    return value
-
-
 def parse_window(token: str, d: int) -> tuple[tuple[float, float], ...]:
     axes = token.split(",")
     if len(axes) != d:
@@ -108,16 +96,9 @@ def _strict(obj):
     return obj
 
 
-def _resolve_out(path: str) -> str:
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path) and os.sep not in path:
-        return os.path.join(base, path)
-    return path
-
-
-def emit_report(cases, fmt: str, path: str | None, criterion_seconds: dict | None = None) -> str:
-    """Serialize inequality cases; returns the text that was written.  A
-    JSON report also holds the wall time of each criterion, where given."""
+def emit_report(cases, fmt: str, criterion_seconds: dict | None = None) -> str:
+    """The text of a report of inequality cases.  A JSON report also holds
+    the wall time of each criterion, where given."""
     if fmt == "json":
         payload = {
             "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -147,20 +128,24 @@ def emit_report(cases, fmt: str, path: str | None, criterion_seconds: dict | Non
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if path:
-        path = _resolve_out(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return text
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_strict(payload), sort_keys=True, indent=2)
-    if out:
-        with open(_resolve_out(out), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out (in AMALGAMS_OUT_DIR for a bare file
+    name), or print it where out is None."""
+    if not out:
         print(text)
+        return
+    base = os.environ.get(OUT_DIR_ENV)
+    if base and not os.path.isabs(out) and os.sep not in out:
+        out = os.path.join(base, out)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _write(json.dumps(_strict(payload), sort_keys=True, indent=2), out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,8 +205,8 @@ def _cmd_norm(args) -> int:
         f,
         f.group,
         args.form,
-        parse_exponent(args.q),
-        parse_exponent(args.p),
+        float(args.q),
+        float(args.p),
         args.r,
         args.mesh,
     )
@@ -234,16 +219,14 @@ def _cmd_norm(args) -> int:
 
 def _cmd_lorentz(args) -> int:
     f = load_function_spec(args.fn)
-    value = lorentz_norm(f, parse_exponent(args.q), parse_exponent(args.p))
+    value = lorentz_norm(f, float(args.q), float(args.p))
     _emit_json({"value": value}, args.out)
     return 0
 
 
 def _cmd_fracnorm(args) -> int:
     f = load_function_spec(args.fn)
-    t = ExponentTriple(
-        parse_exponent(args.q), parse_exponent(args.p), parse_exponent(args.alpha)
-    )
+    t = ExponentTriple(float(args.q), float(args.p), float(args.alpha))
     grid = parse_grid(args.grid)
     if args.form == "partition":
         res = fractional_norm_partition(f, f.group, t, grid)
@@ -293,9 +276,7 @@ def _cmd_partition_info(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    q = parse_exponent(args.q)
-    p = parse_exponent(args.p)
-    alpha = parse_exponent(args.alpha)
+    q, p, alpha = float(args.q), float(args.p), float(args.alpha)
     consts = fractional_bound_constant(q, p, alpha)
     levels = [
         {**lvl, "margin": consts.bound - lvl["fractional_ball_norm"]}
@@ -339,9 +320,7 @@ def _cmd_verify(args) -> int:
     cfg = _load_suite_config(args.config)
     cases, seconds = run_suite_timed(cfg)
     fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
-    text = emit_report(cases, fmt, args.out, seconds)
-    if not args.out:
-        print(text)
+    _write(emit_report(cases, fmt, seconds), args.out)
     for c in cases:
         line = f"{c.status.upper():7s} {c.id} margin={c.margin:.3e}"
         print(line, file=sys.stderr)

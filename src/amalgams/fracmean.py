@@ -74,10 +74,6 @@ class ExponentTriple:
         return math.isinf(self.q) and not math.isinf(self.alpha)
 
 
-def classify(t: ExponentTriple) -> str:
-    return t.classify()
-
-
 # Most radii a RadiusGrid may hold; every grid of the package holds under 100.
 MAX_RADII = 10_000
 

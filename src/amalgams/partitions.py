@@ -86,16 +86,10 @@ class UniformPartition:
     # -- exact intersection with coordinate boxes -------------------------
 
     def intersections_with_box(self, lo, hi) -> Iterator:
-        """For one box [lo, hi), yield (cell index, Haar measure of cell ^
-        [lo, hi)) per piece; for (n, d) arrays of boxes, the group's
-        ``partition_pieces`` blocks (radius 0, box, cell index, measure)."""
-        one_box = np.ndim(lo) == 1
-        lo, hi = (np.asarray(x, dtype=float).reshape(-1, self.group.d) for x in (lo, hi))
-        blocks = self.group.geometry.partition_pieces(np.array([self.steps]), lo, hi)
-        if not one_box:
-            return blocks
-        pieces = ((idx.astype(int).tolist(), ms.tolist()) for _, _, idx, ms in blocks)
-        return ((tuple(k), m) for ks, ms in pieces for k, m in zip(ks, ms))
+        """The group's ``partition_pieces`` blocks (radius 0, box, cell
+        index, Haar measure of cell ^ box) of the boxes [lo, hi), given as
+        (n, d) float arrays."""
+        return self.group.geometry.partition_pieces(np.array([self.steps]), lo, hi)
 
 
 # -- construction and validation ------------------------------------------

@@ -465,20 +465,9 @@ def _axis0_neighbours(a: SimpleFunction, b: SimpleFunction) -> list[list[Cell]]:
     ]
 
 
-def pointwise_combine(
-    f: SimpleFunction,
-    g: SimpleFunction | None = None,
-    *,
-    op: str,
-    factor: float | None = None,
-) -> SimpleFunction:
-    """Exact pointwise product / sum / scalar multiple on the common refinement."""
-    if op == "scale":
-        if factor is None:
-            raise ValueError("op='scale' requires factor")
-        return scale(f, factor)
-    if g is None:
-        raise ValueError(f"op={op!r} requires a second function")
+def pointwise_combine(f: SimpleFunction, g: SimpleFunction, *, op: str) -> SimpleFunction:
+    """Exact pointwise product or sum on the common refinement; a scalar
+    multiple is :func:`scale`."""
     if f.group is not g.group and f.group.name != g.group.name:
         raise ValueError("functions live on different groups")
     combine = {"product": operator.mul, "sum": operator.add}.get(op)

@@ -1,11 +1,14 @@
+import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from amalgams.amalgam import ball_norm, ball_norms, compute_norm, conv_q_indicator, partition_norm
-from amalgams.fracmean import partition_for
+from amalgams.cli import main
+from amalgams.fracmean import ExponentTriple, default_grid, fractional_norm_partition, partition_for
 from amalgams.groups import ANISO_PLANE, HEISENBERG, REAL_LINE
 from amalgams.partitions import build_pi_r
 from amalgams.simplefn import lebesgue_norm, lorentz_norm, scale, simple_function, zero_function
@@ -383,6 +386,34 @@ def test_line_ball_of_a_cell_wider_than_half_the_float_range():
     with pytest.raises(ValueError, match="float range"):
         ball_norm(WIDE_CELL, REAL_LINE, 1e307, 1.0, 1.0)
     assert ball_norm(WIDE_CELL, REAL_LINE, 1e307, INF, INF) == 1.0
+
+
+SPAN = line_fn((-3e300, 1e300, 0.5))  # value 0.5 on [-3e300, 1e300)
+
+
+def test_partition_norm_whose_local_powers_leave_the_float_range(capsys, tmp_path):
+    """At r = 1e300 SPAN meets 8 cells, each of local L^2 norm 2.5e149,
+    whose cubes are past the float range, though the (2, 3) norm, 5e149,
+    is not.  It is summed as a run that lost digits is, and matches the
+    pieces' own measures in 60-digit Decimal; the fractional-mean norm and
+    the CLI read the same sums."""
+    part = partition_for(SPAN, REAL_LINE, 1e300)
+    measures = [m for _, _, _, ms in part.intersections_with_box(SPAN.lo, SPAN.hi) for m in ms.tolist()]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        local = [(Decimal(0.5) ** 2 * Decimal(m)).sqrt() for m in measures]
+        exact = float(sum(x**3 for x in local) ** (Decimal(1) / 3))
+    assert len(measures) == 8 and exact == pytest.approx(5e149, rel=1e-15)
+    assert partition_norm(SPAN, part, 2.0, 3.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    t = ExponentTriple(2.0, 3.0, 2.5)
+    grid = default_grid(SPAN)
+    res = fractional_norm_partition(SPAN, REAL_LINE, t, grid)
+    w = REAL_LINE.rho * (1.0 / t.alpha - 1.0 / t.q)
+    assert res.value == max(r**w * partition_norm(SPAN, partition_for(SPAN, REAL_LINE, r), 2.0, 3.0) for r in grid.radii())
+    spec = tmp_path / "span.json"
+    spec.write_text(json.dumps({"group": "real-line", "cells": [{"lo": [-3e300], "hi": [1e300], "value": 0.5}]}))
+    assert main(["norm", "--form", "partition", "--q", "2", "--p", "3", "--r", "1e300", "--fn", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_conv_q_indicator_beyond_the_float_range_is_inf():

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from amalgams import cli
-from amalgams.cli import emit_report, main, parse_exponent, parse_grid, parse_window
+from amalgams.cli import emit_report, main, parse_grid, parse_window
 from amalgams.verify import InequalityCase, SuiteConfig, error_case, run_suite
 
 
@@ -27,13 +27,41 @@ def _run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
-def test_parse_exponent_tokens():
-    assert parse_exponent("inf") == math.inf
-    assert parse_exponent("2") == 2.0
-    with pytest.raises(Exception):
-        parse_exponent("0.3")
-    with pytest.raises(Exception):
-        parse_exponent("many")
+# Each exponent flag of each subcommand, in an argv that runs: the handlers
+# read exponents with float(), and the library refuses a value out of range.
+EXPONENT_ARGV = {
+    "norm": ["norm", "--form", "ball", "--r", "1", "--q", "2", "--p", "inf"],
+    "lorentz": ["lorentz", "--q", "2", "--p", "inf"],
+    "fracnorm": ["fracnorm", "--grid", "0.25:4:2", "--q", "1", "--p", "inf", "--alpha", "2"],
+    "counterexample": ["counterexample", "--levels", "1", "--q", "1", "--alpha", "2", "--p", "4"],
+}
+EXPONENT_FLAGS = [(cmd, flag) for cmd, argv in EXPONENT_ARGV.items() for flag in argv if flag in ("--q", "--p", "--alpha")]
+
+
+def _exponent_argv(cmd, flag, token, spec_path):
+    argv = list(EXPONENT_ARGV[cmd])
+    argv[argv.index(flag) + 1] = token
+    return argv if cmd == "counterexample" else argv + ["--fn", spec_path]
+
+
+@pytest.mark.parametrize("token", ["many", "0.3", "nan"])
+@pytest.mark.parametrize("cmd, flag", EXPONENT_FLAGS, ids=lambda x: x)
+def test_cli_exponents_are_refused_by_the_library(capsys, spec_path, cmd, flag, token):
+    assert main(_exponent_argv(cmd, flag, token, spec_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("token, same_as", [("inf", "inf"), ("Infinity", "inf"), ("+inf", "inf"), (" 2 ", "2")])
+@pytest.mark.parametrize("cmd, flag", EXPONENT_FLAGS, ids=lambda x: x)
+def test_cli_exponent_spellings_give_the_same_output(capsys, spec_path, cmd, flag, token, same_as):
+    runs = []
+    for t in (token, same_as):
+        code = main(_exponent_argv(cmd, flag, t, spec_path))
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert (runs[0][0] == 0) == bool(runs[0][1])
 
 
 def test_norm_subcommand(capsys, spec_path):
@@ -227,10 +255,10 @@ def test_reports_are_strict_json():
     # holder-product-2 records p = inf in its context
     cases = run_suite(SuiteConfig(criteria=("holder-product",), n_holder=3))
     cases.append(error_case("synthetic", RuntimeError("boom")))  # margin -inf
-    parsed = json.loads(emit_report(cases, "json", None), parse_constant=_reject_constant)
+    parsed = json.loads(emit_report(cases, "json"), parse_constant=_reject_constant)
     assert parsed["cases"][-1]["margin"] == "-inf"
     assert "inf" in parsed["cases"][2]["context"]["factors"]
-    for row in list(csv.DictReader(io.StringIO(emit_report(cases, "csv", None)))):
+    for row in list(csv.DictReader(io.StringIO(emit_report(cases, "csv")))):
         json.loads(row["context"], parse_constant=_reject_constant)
 
 
@@ -261,8 +289,8 @@ def test_verify_report_times_each_criterion(capsys, tmp_path):
     assert all(isinstance(s, float) and 0.0 <= s < math.inf for s in seconds.values())
     # the cases are those of run_suite
     cases = run_suite(SuiteConfig(criteria=tuple(criteria), n_identity=3))
-    assert payload["cases"] == json.loads(emit_report(cases, "json", None))["cases"]
-    assert "criterion_seconds" not in json.loads(emit_report(cases, "json", None))
+    assert payload["cases"] == json.loads(emit_report(cases, "json"))["cases"]
+    assert "criterion_seconds" not in json.loads(emit_report(cases, "json"))
 
 
 def test_verify_bad_config_key(capsys, tmp_path):
@@ -311,24 +339,31 @@ def test_emit_report_csv_and_roundtrip(tmp_path):
         InequalityCase("a", 1.0, 2.0, 1.5, 0.5, "pass", 1e-9, {"k": 1}),
         InequalityCase("b", 3.0, 1.0, 1.0, -0.6, "fail", 0.0, {}),
     ]
-    text = emit_report(cases, "csv", None)
+    text = emit_report(cases, "csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["id", "lhs", "rhs", "constant", "margin", "status", "context"]
     assert len(rows) == len(cases) + 1
     assert rows[1][1] == "1"
     # empty case list -> header only
-    assert len(list(csv.reader(io.StringIO(emit_report([], "csv", None))))) == 1
+    assert len(list(csv.reader(io.StringIO(emit_report([], "csv"))))) == 1
     # JSON round-trip preserves numbers exactly
-    jtext = emit_report(cases, "json", str(tmp_path / "r.json"))
-    parsed = json.loads(jtext)
+    parsed = json.loads(emit_report(cases, "json"))
     assert [InequalityCase(**c) for c in parsed["cases"]] == cases
 
 
 def test_out_dir_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("AMALGAMS_OUT_DIR", str(tmp_path))
-    cases = [InequalityCase("a", 1.0, 2.0, 1.0, 0.5, "pass", 0.0, {})]
-    emit_report(cases, "json", "report.json")
-    assert (tmp_path / "report.json").exists()
+    # a bare file name goes to AMALGAMS_OUT_DIR; a path is taken as it is
+    monkeypatch.setenv("AMALGAMS_OUT_DIR", str(tmp_path / "out"))
+    (tmp_path / "out").mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"criteria": ["diagonal-identity"], "n_identity": 3}))
+    assert main(["verify", "--config", str(cfg), "--out", "report.json"]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["cases"] and all(c["status"] == "pass" for c in payload["cases"])
+    rows = list(csv.reader(io.StringIO((tmp_path / "r.csv").read_text())))
+    assert [row[0] for row in rows[1:]] == [c["id"] for c in payload["cases"]]
 
 
 def _reject_constant(token):

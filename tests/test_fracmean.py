@@ -9,7 +9,6 @@ from amalgams.fracmean import (
     NONTRIVIAL,
     ExponentTriple,
     RadiusGrid,
-    classify,
     conjugate,
     default_grid,
     divergence_diagnostic,
@@ -34,10 +33,10 @@ def test_conjugate():
 
 
 def test_classify():
-    assert classify(ExponentTriple(1, 4, 2)) == NONTRIVIAL
-    assert classify(ExponentTriple(3, 4, 2)) == DEGENERATE_LOW
-    assert classify(ExponentTriple(1, 2, 3)) == DEGENERATE_HIGH
-    assert classify(ExponentTriple(2, 2, 2)) == NONTRIVIAL
+    assert ExponentTriple(1, 4, 2).classify() == NONTRIVIAL
+    assert ExponentTriple(3, 4, 2).classify() == DEGENERATE_LOW
+    assert ExponentTriple(1, 2, 3).classify() == DEGENERATE_HIGH
+    assert ExponentTriple(2, 2, 2).classify() == NONTRIVIAL
     assert ExponentTriple(INF, INF, 2.0).uses_infinite_q_convention()
     with pytest.raises(ValueError):
         ExponentTriple(0.9, 2, 2)

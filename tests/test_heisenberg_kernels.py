@@ -308,6 +308,13 @@ def _scalar_intersections(part, lo, hi):
                     yield (i, j, k), SCALE * m
 
 
+def _one_box(part, lo, hi):
+    """(cell index, measure) of each piece of the one box [lo, hi), flattened
+    from the array stream of intersections_with_box."""
+    blocks = part.intersections_with_box(np.array([lo], dtype=float), np.array([hi], dtype=float))
+    return [(tuple(k), m) for _, _, idx, ms in blocks for k, m in zip(idx.astype(int).tolist(), ms.tolist())]
+
+
 def _panel():
     """(partition, cell) pairs of seeded Heisenberg functions."""
     for n in range(3):
@@ -321,7 +328,7 @@ def _panel():
 def test_sheared_slabs_match_the_scalar_reference():
     pieces = 0
     for part, c in _panel():
-        got = list(part.intersections_with_box(c.lo, c.hi))
+        got = _one_box(part, c.lo, c.hi)
         ref = list(_scalar_intersections(part, c.lo, c.hi))
         assert [idx for idx, _ in got] == [idx for idx, _ in ref]
         vol = HEISENBERG.box_measure(c.lo, c.hi)
@@ -336,7 +343,7 @@ def test_sheared_slabs_of_a_column_tile_its_footprint(r):
     part = build_pi_r(HEISENBERG, r, ((-3.0, 3.0), (-3.0, 3.0), (-4.0, 4.0)))
     lo, hi = (-0.93, 0.41, -0.7), (1.37, 1.9, 0.55)
     columns: dict[tuple[int, int], float] = {}
-    for (i, j, _), m in part.intersections_with_box(lo, hi):
+    for (i, j, _), m in _one_box(part, lo, hi):
         columns[i, j] = columns.get((i, j), 0.0) + m
     (s1, s2, _), u = part.steps, part.half_extents[0]
     assert len(columns) > 1

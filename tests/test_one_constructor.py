@@ -83,7 +83,7 @@ def built():
     fns["product"] = pointwise_combine(f, h, op="product")
     fns["sum"] = pointwise_combine(f, h, op="sum")
     fns["sum-heisenberg"] = pointwise_combine(fns["random-heisenberg-2"], fns["heisenberg-zero-cell"], op="sum")
-    fns["combine-scale"] = pointwise_combine(f, op="scale", factor=-0.5)
+    fns["combine-scale"] = scale(f, -0.5)
     fns["radial-power"] = radial_power_fn(REAL_LINE, "power", 2.0, (0.25, 4.0), mesh=0.1).function
     fns["radial-damped"] = radial_power_fn(REAL_LINE, "damped", 3.0, (0.0, 8.0), mesh=0.05).function
     fns["sparse-union"] = build_sparse_union(REAL_LINE, 1.0, 2.0, 3)[1]
@@ -137,8 +137,6 @@ def test_scale_refuses_a_value_that_is_not_finite(factor):
     f = FUNCTIONS["line-zero-cells"]  # values 2 and 5
     with pytest.raises(ValueError, match=VALUE_RULE):
         scale(f, factor)
-    with pytest.raises(ValueError, match=VALUE_RULE):
-        pointwise_combine(f, op="scale", factor=factor)
 
 
 def test_scale_by_nan_of_every_group_is_refused():

@@ -1,8 +1,8 @@
 """The one partition-norm path: ``partition_norm`` and the batched
 ``_partition_norms`` both sum the pieces of ``partition_pieces`` with one
 accumulator.  Both are pinned bit for bit to the per-piece dict sum they
-replaced, kept here as the reference and driven by the one-box form of
-``intersections_with_box``."""
+replaced, kept here as the reference and driven by the pieces of each
+cell's box alone, flattened from ``intersections_with_box``."""
 
 import math
 
@@ -29,9 +29,16 @@ def _cells_norm(acc, q, p, e):
     return _cells_norms(acc if math.isinf(q) else [a ** (1.0 / q) for a in acc], [0], p, e)[0]
 
 
+def _one_box(part, lo, hi):
+    """(cell index, measure) of each piece of the one box [lo, hi), flattened
+    from the array stream of intersections_with_box."""
+    blocks = part.intersections_with_box(np.array([lo], dtype=float), np.array([hi], dtype=float))
+    return [(tuple(k), m) for _, _, idx, ms in blocks for k, m in zip(idx.astype(int).tolist(), ms.tolist())]
+
+
 def _box_pieces(f, part):
-    """Each cell's pieces, from the one-box form of intersections_with_box."""
-    return [list(part.intersections_with_box(c.lo, c.hi)) for c in f.cells]
+    """Each cell's pieces, from its box alone."""
+    return [_one_box(part, c.lo, c.hi) for c in f.cells]
 
 
 def _dict_partition_norm(f, pieces, q, p):
@@ -142,8 +149,4 @@ def test_one_box_and_array_forms_give_the_same_pieces(g):
     for radius, box, idx, m in blocks:
         assert not radius.any() and (m > 0.0).all()
         flat += [(int(b), tuple(int(k) for k in i), x) for b, i, x in zip(box, idx, m.tolist())]
-    one_box = part.intersections_with_box(f.cells[0].lo, f.cells[0].hi)
-    assert iter(one_box) is one_box
-    assert flat == [
-        (b, idx, m) for b, c in enumerate(f.cells) for idx, m in part.intersections_with_box(c.lo, c.hi)
-    ]
+    assert flat == [(b, idx, m) for b, c in enumerate(f.cells) for idx, m in _one_box(part, c.lo, c.hi)]

@@ -322,7 +322,7 @@ def test_indicator_lorentz_closed_form():
 
 
 def test_norm_homogeneity_exact():
-    g = pointwise_combine(F, op="scale", factor=2.5)
+    g = simplefn.scale(F, 2.5)
     for q in (1.0, 2.0, INF):
         assert lebesgue_norm(g, q) == pytest.approx(2.5 * lebesgue_norm(F, q), rel=1e-15)
     assert lorentz_norm(g, 2.0, 1.0) == pytest.approx(
@@ -373,7 +373,7 @@ def test_combine_examples():
     chi = line_fn((0.0, 1.0, 1.0))
     sq = pointwise_combine(chi, chi, op="product")
     assert lebesgue_norm(sq, 1.0) == pytest.approx(lebesgue_norm(chi, 1.0))
-    doubled = pointwise_combine(line_fn((0.0, 1.0, 3.0)), op="scale", factor=2.0)
+    doubled = simplefn.scale(line_fn((0.0, 1.0, 3.0)), 2.0)
     assert doubled.cells[0].value == 6.0
 
 
@@ -544,11 +544,13 @@ def test_scale_by_zero_is_zero_and_support_box_is_computed_once():
 
 def test_combine_refuses_in_a_fixed_order():
     chi, plane = line_fn((0.0, 1.0, 1.0)), zero_function(ANISO_PLANE)
-    with pytest.raises(ValueError, match="requires factor"):
-        pointwise_combine(chi, plane, op="scale")
-    with pytest.raises(ValueError, match="requires a second function"):
-        pointwise_combine(chi, op="nope")
+    with pytest.raises(TypeError, match="'g'"):
+        pointwise_combine(chi, op="product")
     with pytest.raises(ValueError, match="different groups"):
         pointwise_combine(chi, plane, op="nope")
     with pytest.raises(ValueError, match="unknown op 'nope'"):
         pointwise_combine(chi, chi, op="nope")
+    with pytest.raises(ValueError, match="unknown op 'scale'"):  # a scalar multiple is scale()
+        pointwise_combine(chi, chi, op="scale")
+    with pytest.raises(TypeError, match="factor"):
+        pointwise_combine(chi, chi, op="product", factor=2.0)
